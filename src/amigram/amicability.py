@@ -10,23 +10,27 @@ satisfy b + u = A/2 (forcing A even) and, since a parallelogram's side is at
 least its height P/b, the quadratic bound b*(A/2 - b) >= P.  The product
 b*(A/2 - b) peaks at b = A/4 with value (A/4)^2, giving the closed form; an
 integer b at or next to the peak always works when the closed form holds,
-which is how :func:`companion_from_invariants` builds its witness.
+which is how :func:`companion_from_invariants` builds its witness.  The
+bases that work form one interval around the peak, which
+:func:`companion_base_range` finds with an integer square root.
 
 :func:`companion_exists_bruteforce` runs the same existence question as a
 literal exhaustive scan over every candidate base, deliberately ignoring the
 closed form, so the two routes can be played against each other on any
-finite grid.
+finite grid.  Likewise :func:`companion_bases_exhaustive` is the literal
+scan that :func:`companion_base_range` replaces; it stays as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import isqrt
 
 from .core import (
     HeronianError,
     Parallelogram,
+    int_to_decimal,
     require_even_perimeter,
 )
 
@@ -108,21 +112,22 @@ def companion_from_invariants(area: int, perimeter: int) -> Parallelogram:
     """Deterministic companion for an amicable (area, perimeter) pair.
 
     The companion base is area/4 when that is an integer, else the next
-    integer up; its height is perimeter/base and its side area/2 - base.
+    integer up; its side is area/2 - base and its area is the perimeter.
+    The constructor's own check perimeter <= base*side is exactly the
+    quadratic bound, i.e. the side spans the height perimeter/base.
     Raises :class:`NotAmicable` when no companion exists.
     """
     require_even_perimeter(perimeter)
     if area % 2:
-        raise NotAmicable(Reason.ODD_AREA, f"area {area} is odd")
+        raise NotAmicable(Reason.ODD_AREA, f"area {int_to_decimal(area)} is odd")
     if area * area < 16 * perimeter:
         raise NotAmicable(
             Reason.BOUND_FAIL,
-            f"area^2 = {area * area} < 16*perimeter = {16 * perimeter}",
+            f"area^2 < 16*perimeter for area {int_to_decimal(area)} "
+            f"and perimeter {int_to_decimal(perimeter)}",
         )
     base = area // 4 if area % 4 == 0 else (area + 2) // 4
-    return Parallelogram.from_base_height_side(
-        base, Fraction(perimeter, base), area // 2 - base
-    )
+    return Parallelogram(base, area // 2 - base, perimeter)
 
 
 def companion(shape: Parallelogram) -> Parallelogram:
@@ -157,17 +162,51 @@ def companion_exists_bruteforce(area: int, perimeter: int) -> bool:
     return any(b * (half - b) >= perimeter for b in range(1, half))
 
 
+def companion_base_range(area: int, perimeter: int) -> range:
+    """Every companion base for an (area, perimeter) pair, as a range.
+
+    The bases are the integers b with b*(area/2 - b) >= perimeter: the
+    interval between the roots of b^2 - (area/2)*b + perimeter, symmetric
+    about area/4.  Its lower end is read off the integer square root of the
+    discriminant and then settled by exact checks on the integers next to
+    it, so the range is exact at any size.  Empty iff not amicable.
+    """
+    require_even_perimeter(perimeter)
+    if area % 2 or area < 2:
+        return range(0)
+    half = area // 2
+    disc = half * half - 4 * perimeter
+    if disc < 0:
+        return range(0)
+    # isqrt is at most 1 below the real root, so this is the least base or
+    # one above it.
+    low = (half - isqrt(disc) + 1) // 2
+    if (low - 1) * (half - low + 1) >= perimeter:
+        low -= 1
+    if low * (half - low) < perimeter:
+        return range(0)
+    return range(low, half - low + 1)
+
+
+def companion_bases_exhaustive(area: int, perimeter: int) -> list[int]:
+    """Every companion base by a literal scan of [1, area/2 - 1].
+
+    The O(area) oracle for :func:`companion_base_range`.
+    """
+    require_even_perimeter(perimeter)
+    if area % 2:
+        return []
+    half = area // 2
+    return [b for b in range(1, half) if b * (half - b) >= perimeter]
+
+
 def all_companion_bases(shape: Parallelogram) -> list[int]:
     """Every companion base for ``shape``, ascending; empty iff not amicable.
 
     Each listed b yields a valid companion with height perimeter/b and side
     area/2 - b.
     """
-    if shape.area % 2:
-        return []
-    half = shape.area // 2
-    perimeter = shape.perimeter
-    return [b for b in range(1, half) if b * (half - b) >= perimeter]
+    return list(companion_base_range(shape.area, shape.perimeter))
 
 
 def is_self_amicable(shape: Parallelogram) -> bool:

@@ -6,6 +6,10 @@ byte-stable.  The module also builds non-amicable witnesses for any target
 area or perimeter, and re-derives from scratch the amicable rectangle
 pairs (rectangles where the area of each equals the perimeter of the
 other) by bounded brute force.
+
+The census and the rectangle search each have a fast route and keep the
+literal search they replaced (:func:`count_amicable_exhaustive`,
+:func:`amicable_rectangle_pairs_exhaustive`) as its test oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .core import (
     CanonicalKey,
     Parallelogram,
     ZeroDimension,
+    int_to_decimal,
     require_even_perimeter,
 )
 
@@ -49,10 +54,10 @@ class CensusRow:
 
     def to_json_dict(self) -> dict:
         return {
-            "short_side": str(self.short_side),
-            "long_side": str(self.long_side),
-            "area": str(self.area),
-            "perimeter": str(self.perimeter),
+            "short_side": int_to_decimal(self.short_side),
+            "long_side": int_to_decimal(self.long_side),
+            "area": int_to_decimal(self.area),
+            "perimeter": int_to_decimal(self.perimeter),
             "amicable": self.amicable,
             "self_amicable": self.self_amicable,
         }
@@ -140,8 +145,33 @@ def census_rows(perimeter: int) -> Iterator[CensusRow]:
 def count_amicable(max_perimeter: int) -> list[PerimeterCounts]:
     """Per-perimeter tallies over every perimeter from 4 to ``max_perimeter``.
 
-    A plain exhaustive sweep: every canonical shape is enumerated and run
-    through the amicability test, nothing is counted in closed form.
+    Counted in closed form, one side split a + s = P/2 at a time, without
+    building any shape.  The split has areas 1..a*s.  The amicable ones are
+    the even areas from A0 up, where A0 is the least even A with
+    A^2 >= 16*P: floor(a*s/2) - A0/2 + 1 of them when a*s >= A0.  The one
+    self-amicable area, A = P, occurs iff a*s >= P.
+    """
+    require_even_perimeter(max_perimeter)
+    table = []
+    for perimeter in range(4, max_perimeter + 1, 2):
+        half = perimeter // 2
+        least = isqrt(16 * perimeter - 1) + 1  # least A with A^2 >= 16*P
+        least += least % 2
+        total = amicable = self_amicable = 0
+        for short in range(1, half // 2 + 1):
+            top = short * (half - short)
+            total += top
+            if top >= least:
+                amicable += top // 2 - least // 2 + 1
+            self_amicable += top >= perimeter
+        table.append(PerimeterCounts(perimeter, total, amicable, self_amicable))
+    return table
+
+
+def count_amicable_exhaustive(max_perimeter: int) -> list[PerimeterCounts]:
+    """The same tallies by a plain exhaustive sweep: every canonical shape is
+    enumerated and run through the amicability test.  The oracle for
+    :func:`count_amicable`.
     """
     require_even_perimeter(max_perimeter)
     table = []
@@ -189,20 +219,37 @@ def non_amicable_witness_perimeter(perimeter: int) -> Parallelogram:
     return Parallelogram(1, perimeter // 2 - 1, 1)
 
 
+# a*c <= 16 for the shorter sides of a pair (see amicable_rectangle_pairs),
+# and c >= 1 leaves a <= 16.
+_MAX_SHORT_SIDE = 16
+
+
 def amicable_rectangle_pairs(max_side: int = 1000) -> list[RectanglePair]:
-    """All amicable rectangle pairs found by brute force over first members
-    with sides up to ``max_side``, self-pairs included.
+    """All amicable rectangle pairs with a member whose sides are at most
+    ``max_side``, self-pairs included.
 
     For a first rectangle a x b, a partner c x d must satisfy
     c + d = a*b/2 and c*d = 2*(a + b), so c and d are the integer roots of
-    x^2 - (a*b/2)x + 2(a+b), solved exactly.  Every first member within the
-    bound is tried.  The bound is generous: multiplying the two defining
-    equations and using a + b <= 2b, c + d <= 2d shows the shorter sides
-    satisfy a*c <= 16, and back-substitution keeps the longer sides far
-    below 1000; raising the bound is expected to change nothing.
+    x^2 - (a*b/2)x + 2(a+b), solved exactly.  Multiplying the two equations
+    and using a + b <= 2b, c + d <= 2d shows the shorter sides satisfy
+    a*c <= 16, so only first members with a <= 16 are tried, which finds
+    the same pairs as :func:`amicable_rectangle_pairs_exhaustive`.  The
+    default bound is generous: back-substitution keeps the longer sides far
+    below 1000, and raising the bound is expected to change nothing.
     """
+    return _rectangle_pairs(min(max_side, _MAX_SHORT_SIDE), max_side)
+
+
+def amicable_rectangle_pairs_exhaustive(max_side: int = 1000) -> list[RectanglePair]:
+    """The same pairs by brute force over every first member with sides up
+    to ``max_side``.  The oracle for :func:`amicable_rectangle_pairs`."""
+    return _rectangle_pairs(max_side, max_side)
+
+
+def _rectangle_pairs(max_short: int, max_side: int) -> list[RectanglePair]:
+    """Pairs found from first members a x b, a <= max_short, a <= b <= max_side."""
     found: dict[tuple, RectanglePair] = {}
-    for a in range(1, max_side + 1):
+    for a in range(1, max_short + 1):
         for b in range(a, max_side + 1):
             if (a * b) % 2:
                 continue

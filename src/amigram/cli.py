@@ -33,7 +33,13 @@ from .census import (
     non_amicable_witness_area,
     non_amicable_witness_perimeter,
 )
-from .core import HeronianError, Parallelogram, require_even_perimeter
+from .core import (
+    HeronianError,
+    Parallelogram,
+    decimal_to_int,
+    int_to_decimal,
+    require_even_perimeter,
+)
 from .families import verify_family
 from .render import RenderSpec, render_svg
 
@@ -47,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = decimal_to_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
@@ -82,8 +88,8 @@ def _cmd_check(args) -> tuple[int, str]:
         require_even_perimeter(args.perimeter)
         if not exists_heronian_with(args.area, args.perimeter):
             raise HeronianError(
-                f"no Heronian parallelogram has area {args.area} "
-                f"and perimeter {args.perimeter}"
+                f"no Heronian parallelogram has area {int_to_decimal(args.area)} "
+                f"and perimeter {int_to_decimal(args.perimeter)}"
             )
         verdict = classify_invariants(args.area, args.perimeter)
     else:
@@ -95,7 +101,10 @@ def _cmd_check(args) -> tuple[int, str]:
 
 def _cmd_family(args) -> tuple[int, str]:
     if args.stop < args.start:
-        raise HeronianError(f"--to {args.stop} is below --from {args.start}")
+        raise HeronianError(
+            f"--to {int_to_decimal(args.stop)} is below "
+            f"--from {int_to_decimal(args.start)}"
+        )
     rows = verify_family(args.start, args.stop)
     text = "".join(json.dumps(row.to_json_dict()) + "\n" for row in rows)
     return (0 if all(row.passed for row in rows) else 2), text
@@ -245,8 +254,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"amigram: error: {exc}", file=sys.stderr)
         return 1
     if args.output:
-        with open(args.output, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(
+                f"amigram: error: cannot write {args.output}: {reason}", file=sys.stderr
+            )
+            return 1
     else:
         sys.stdout.write(text)
     return code

@@ -17,9 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+# CPython refuses int<->str conversions of more than 4300 digits by default,
+# and no setting may go below 640; pieces of this many digits always convert.
+_DIGIT_CHUNK = 600
+
 
 class HeronianError(ValueError):
     """Base class for invalid Heronian parallelogram data or queries."""
+
+
+class NonIntegerDimension(HeronianError):
+    """A base, side, or area that is not a plain ``int`` (bools included)."""
 
 
 class ZeroDimension(HeronianError):
@@ -40,6 +48,57 @@ class NonIntegerArea(HeronianError):
 
 class InvalidPerimeter(HeronianError):
     """Parallelogram perimeters are even and at least 4."""
+
+
+def int_to_decimal(value: int) -> str:
+    """Decimal text of any int, past CPython's int/str digit limit too.
+
+    Small values take plain ``str``; larger ones are split at a power of
+    ten into halves until every piece is short enough to convert.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + int_to_decimal(-value)
+    return _digits_of(value)
+
+
+def _digits_of(value: int) -> str:
+    digits = value.bit_length() * 30103 // 100000 + 1  # at most one too many
+    if digits <= _DIGIT_CHUNK:
+        return str(value)
+    low_digits = digits // 2
+    high, low = divmod(value, 10**low_digits)
+    return _digits_of(high) + _digits_of(low).zfill(low_digits)
+
+
+def decimal_to_int(text: str | int) -> int:
+    """Parse what ``int`` parses, and also decimal text past the digit limit.
+
+    Small inputs take plain ``int``.  Text too long for it is accepted only
+    as an optional sign followed by ASCII digits.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if not isinstance(text, str) or len(text) <= _DIGIT_CHUNK:
+            raise
+    digits = text[1:] if text[0] in "+-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal integer of {len(text)} characters")
+    value = _value_of(digits)
+    return -value if text[0] == "-" else value
+
+
+def _value_of(digits: str) -> int:
+    if len(digits) <= _DIGIT_CHUNK:
+        return int(digits)
+    low_digits = len(digits) // 2
+    return _value_of(digits[:-low_digits]) * 10**low_digits + _value_of(
+        digits[-low_digits:]
+    )
 
 
 class CanonicalKey(NamedTuple):
@@ -68,16 +127,27 @@ class Parallelogram:
     side: int
     area: int
 
-    def __post_init__(self) -> None:
-        if self.base < 1 or self.side < 1 or self.area < 1:
+    def __init__(self, base: int, side: int, area: int) -> None:
+        # Written out rather than generated, so that validation runs before
+        # the fields are stored and without a separate __post_init__ call.
+        if not type(base) is type(side) is type(area) is int:
+            kinds = ", ".join(type(value).__name__ for value in (base, side, area))
+            raise NonIntegerDimension(
+                f"base, side, and area must be ints, got ({kinds})"
+            )
+        if base < 1 or side < 1 or area < 1:
             raise ZeroDimension(
-                f"base, side, and area must be positive, got "
-                f"({self.base}, {self.side}, {self.area})"
+                f"base, side, and area must be positive, got ({int_to_decimal(base)}, "
+                f"{int_to_decimal(side)}, {int_to_decimal(area)})"
             )
-        if self.area > self.base * self.side:
+        if area > base * side:
             raise AreaOutOfRange(
-                f"area {self.area} exceeds base*side = {self.base * self.side}"
+                f"area {int_to_decimal(area)} exceeds "
+                f"base*side = {int_to_decimal(base * side)}"
             )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "area", area)
 
     @classmethod
     def from_base_height_side(
@@ -137,12 +207,12 @@ class Parallelogram:
         """
         height = self.height
         return {
-            "base": str(self.base),
-            "side": str(self.side),
-            "area": str(self.area),
+            "base": int_to_decimal(self.base),
+            "side": int_to_decimal(self.side),
+            "area": int_to_decimal(self.area),
             "height": {
-                "num": str(height.numerator),
-                "den": str(height.denominator),
+                "num": int_to_decimal(height.numerator),
+                "den": int_to_decimal(height.denominator),
             },
         }
 
@@ -152,10 +222,16 @@ class Parallelogram:
 
         A present height field must agree with area/base in lowest terms.
         """
-        shape = cls(int(data["base"]), int(data["side"]), int(data["area"]))
+        shape = cls(
+            decimal_to_int(data["base"]),
+            decimal_to_int(data["side"]),
+            decimal_to_int(data["area"]),
+        )
         height = data.get("height")
         if height is not None:
-            claimed = Fraction(int(height["num"]), int(height["den"]))
+            claimed = Fraction(
+                decimal_to_int(height["num"]), decimal_to_int(height["den"])
+            )
             if claimed != shape.height:
                 raise HeronianError(
                     f"height field {claimed} disagrees with area/base = {shape.height}"
@@ -167,5 +243,5 @@ def require_even_perimeter(perimeter: int) -> None:
     """Reject perimeters no parallelogram can have (odd, or below 4)."""
     if perimeter < 4 or perimeter % 2:
         raise InvalidPerimeter(
-            f"perimeter must be an even integer >= 4, got {perimeter}"
+            f"perimeter must be an even integer >= 4, got {int_to_decimal(perimeter)}"
         )

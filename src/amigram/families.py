@@ -13,6 +13,12 @@ re-derives every claim with exact big-integer arithmetic instead of
 trusting the closed forms.
 
 Indexing: F(0) = 0, F(1) = 1 and L(0) = 2, L(1) = 1.
+
+:func:`fib` and :func:`lucas` use fast doubling (Knuth, TAOCP vol. 1,
+section 1.2.8), O(log n) multiplications each.  They run separate doubling
+recurrences, so the check F(n) * L(n) = F(2n) in :func:`verify_family`
+plays one against the other.  :func:`fib_iterative` and
+:func:`lucas_iterative` keep the n-step loops as their test oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +34,40 @@ class IndexTooSmall(HeronianError):
 
 
 def fib(n: int) -> int:
-    """The nth Fibonacci number, F(0) = 0, F(1) = 1."""
+    """The nth Fibonacci number, F(0) = 0, F(1) = 1.
+
+    Walks the bits of n from the top, keeping (F(k), F(k+1)) and doubling k
+    with F(2k) = F(k)*(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2.
+    """
+    if n < 0:
+        raise ValueError(f"index must be non-negative, got {n}")
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
+
+
+def lucas(n: int) -> int:
+    """The nth Lucas number, L(0) = 2, L(1) = 1.
+
+    Walks the bits of n from the top, keeping (L(k), L(k+1)) and doubling k
+    with L(2k) = L(k)^2 - 2(-1)^k and L(2k+1) = L(k)L(k+1) - (-1)^k.
+    """
+    if n < 0:
+        raise ValueError(f"index must be non-negative, got {n}")
+    a, b, sign = 2, 1, 1  # sign = (-1)^k
+    for bit in bin(n)[2:]:
+        a, b = a * a - 2 * sign, a * b - sign
+        sign = 1
+        if bit == "1":
+            a, b, sign = b, a + b, -1
+    return a
+
+
+def fib_iterative(n: int) -> int:
+    """F(n) by n additions; the oracle for :func:`fib`."""
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     a, b = 0, 1
@@ -37,8 +76,8 @@ def fib(n: int) -> int:
     return a
 
 
-def lucas(n: int) -> int:
-    """The nth Lucas number, L(0) = 2, L(1) = 1."""
+def lucas_iterative(n: int) -> int:
+    """L(n) by n additions; the oracle for :func:`lucas`."""
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     a, b = 2, 1

@@ -6,6 +6,8 @@ with corners (0,0), (b,0), (b+x,h), (x,h) where x = sqrt(s^2 - h^2).  The
 inner difference s^2 - h^2 is computed exactly before the one lossy square
 root, so coordinates are correct to double-precision rounding.  All numbers
 are printed with fixed 9-decimal formatting to keep output byte-stable.
+A canvas too small for its margins, or a shape too large for a float, is
+refused with :class:`RenderError`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import amicability
-from .core import Parallelogram
+from .core import HeronianError, Parallelogram
 
 _LABEL_BAND = 28  # px reserved under the shapes for the caption line
 _FONT_SIZE = 13
+
+
+class RenderError(HeronianError):
+    """The canvas is too small, or the shape too large, to draw."""
 
 
 @dataclass(frozen=True)
@@ -40,9 +46,12 @@ def model_vertices(shape: Parallelogram) -> list[tuple[float, float]]:
     """
     height = shape.height
     offset_sq = Fraction(shape.side) ** 2 - height * height
-    offset = math.sqrt(offset_sq.numerator / offset_sq.denominator)
-    h = height.numerator / height.denominator
-    b = float(shape.base)
+    try:
+        offset = math.sqrt(offset_sq.numerator / offset_sq.denominator)
+        h = height.numerator / height.denominator
+        b = float(shape.base)
+    except OverflowError as exc:
+        raise RenderError(f"shape too large to draw: {exc}") from None
     return [(0.0, 0.0), (b, 0.0), (b + offset, h), (offset, h)]
 
 
@@ -75,7 +84,7 @@ def render_svg(spec: RenderSpec) -> str:
     avail_w = spec.width - 2 * spec.margin - gap * (len(shapes) - 1)
     avail_h = spec.height - 2 * spec.margin - _LABEL_BAND
     if avail_w <= 0 or avail_h <= 0:
-        raise ValueError("canvas too small for the requested margins")
+        raise RenderError("canvas too small for the requested margins")
     scale = min(avail_w / sum(widths), avail_h / tallest)
 
     baseline = spec.margin + avail_h  # px row where model y = 0 sits

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from amigram import FamilyEntry, Parallelogram
+from amigram import FamilyEntry, Parallelogram, fib, int_to_decimal
 from amigram.families import FamilyReportRow
 import amigram.cli as cli
 
@@ -262,3 +262,54 @@ class TestCommonBehavior:
         out = capsys.readouterr().out
         assert code == 2
         assert '"pair": false' in out
+
+
+class TestBigIntegers:
+    def test_family_past_the_str_digit_limit(self):
+        result = run_cli("family", "--from", "11000", "--to", "11000")
+        assert result.returncode == 0, result.stderr
+        (row,) = [json.loads(line) for line in result.stdout.splitlines()]
+        assert row["n"] == 11000
+        assert all(row["checks"].values())
+        partner = Parallelogram.from_json_dict(row["c"])
+        assert partner == Parallelogram(fib(21998), fib(21999), 2 * fib(11003))
+        assert len(row["c"]["side"]) > 4300
+
+    def test_check_with_arguments_past_the_limit(self):
+        base = 10**4500 + 1
+        area = 2 * 10**4500
+        result = run_cli(
+            "check", "--base", int_to_decimal(base), "--side", "3",
+            "--area", int_to_decimal(area),
+        )
+        assert result.returncode == 0, result.stderr
+        verdict = json.loads(result.stdout)
+        assert verdict["amicable"] is True
+        partner = Parallelogram.from_json_dict(verdict["companion"])
+        assert partner.perimeter == area
+        assert partner.area == 2 * (base + 3)
+
+
+class TestErrorsAreOneLine:
+    def assert_one_line_exit_1(self, result):
+        assert result.returncode == 1
+        assert result.stderr.startswith("amigram: error:")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+    def test_canvas_too_small(self):
+        result = run_cli(
+            "render", "--base", "7", "--side", "6", "--area", "42", "--width", "10"
+        )
+        self.assert_one_line_exit_1(result)
+
+    def test_shape_too_large_to_draw(self):
+        big = str(10**400)
+        result = run_cli("render", "--base", big, "--side", big, "--area", big)
+        self.assert_one_line_exit_1(result)
+
+    def test_unwritable_output_file(self, tmp_path):
+        target = tmp_path / "missing" / "x"
+        result = run_cli("rectangles", "-o", str(target))
+        self.assert_one_line_exit_1(result)
+        assert not target.exists()

@@ -10,10 +10,13 @@ from amigram import (
     CanonicalKey,
     HeronianError,
     NonIntegerArea,
+    NonIntegerDimension,
     Parallelogram,
     SideTooShort,
     ZeroDimension,
+    decimal_to_int,
     fib,
+    int_to_decimal,
 )
 
 
@@ -166,3 +169,57 @@ class TestJson:
         assert Parallelogram.from_json_dict(
             {"base": "8", "side": "13", "area": "26"}
         ) == Parallelogram(8, 13, 26)
+
+
+class TestNonIntegerDimensions:
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (True, 1, 1),
+            (1, False, 1),
+            (1.5, 2, 1),
+            (2, 2.0, 1),
+            (2, 2, Fraction(1)),
+            ("2", 2, 1),
+        ],
+    )
+    def test_rejected(self, triple):
+        with pytest.raises(NonIntegerDimension):
+            Parallelogram(*triple)
+
+    def test_is_a_heronian_error(self):
+        assert issubclass(NonIntegerDimension, HeronianError)
+
+
+class TestDecimalConversion:
+    def test_json_round_trip_of_5000_digits(self):
+        base = 10**4999 + 12345
+        p = Parallelogram(base, 3 * 10**4999 + 7, 2 * 10**5000 + 9)
+        d = json.loads(json.dumps(p.to_json_dict()))
+        assert len(d["base"]) == 5000
+        assert len(d["area"]) == 5001
+        assert Parallelogram.from_json_dict(d) == p
+
+    @settings(max_examples=100, deadline=None)
+    @given(digits=st.integers(min_value=1, max_value=12000), data=st.data())
+    def test_matches_str_digit_by_digit(self, digits, data):
+        value = data.draw(
+            st.integers(min_value=10 ** (digits - 1), max_value=10**digits - 1)
+        )
+        sign = data.draw(st.sampled_from([1, -1]))
+        text = int_to_decimal(sign * value)
+        assert text.startswith("-") == (sign < 0)
+        body = text.lstrip("-")
+        assert len(body) == digits and body[0] != "0"
+        # leading and trailing hundred digits against str() of pieces under the limit
+        head = max(0, digits - 100)
+        assert body[:100] == str(value // 10**head)
+        assert body[-100:] == str(value % 10**100).zfill(min(100, digits))
+        assert decimal_to_int(text) == sign * value
+
+    @pytest.mark.parametrize(
+        "text", ["1" * 5000 + "x", "1" * 2500 + " " + "1" * 2500, "1_" * 2500, "-" * 5000]
+    )
+    def test_long_garbage_rejected(self, text):
+        with pytest.raises(ValueError):
+            decimal_to_int(text)
