@@ -43,6 +43,11 @@ class Reason(Enum):
     OK = "OK"
 
 
+# Looking a member up on an Enum class costs a Python-level call, which shows
+# on the per-cell paths below, so they read these module globals instead.
+_ODD_AREA, _BOUND_FAIL, _OK = Reason.ODD_AREA, Reason.BOUND_FAIL, Reason.OK
+
+
 class NotAmicable(HeronianError):
     """Companion requested for a parallelogram that has none."""
 
@@ -79,13 +84,25 @@ class Verdict:
         }
 
 
-def is_amicable_invariants(area: int, perimeter: int) -> bool:
-    """Closed-form amicability test on an (area, perimeter) pair.
+def decide(area: int, perimeter: int) -> Reason:
+    """The closed form, decided in one place: ODD_AREA, BOUND_FAIL or OK.
 
-    Pure integer arithmetic: area even and area^2 >= 16*perimeter.
+    Pure integer arithmetic: area even and area^2 >= 16*perimeter.  Raises
+    :class:`InvalidPerimeter` for perimeters no parallelogram can have; it
+    does not check that some shape has this area and perimeter (see
+    :func:`exists_heronian_with`).
     """
     require_even_perimeter(perimeter)
-    return area % 2 == 0 and area * area >= 16 * perimeter
+    if area % 2:
+        return _ODD_AREA
+    if area * area < 16 * perimeter:
+        return _BOUND_FAIL
+    return _OK
+
+
+def is_amicable_invariants(area: int, perimeter: int) -> bool:
+    """Closed-form amicability test on an (area, perimeter) pair."""
+    return decide(area, perimeter) is _OK
 
 
 def is_amicable(shape: Parallelogram) -> bool:
@@ -93,19 +110,42 @@ def is_amicable(shape: Parallelogram) -> bool:
     return is_amicable_invariants(shape.area, shape.perimeter)
 
 
+# Refusals carry no companion, so one verdict per reason serves every call.
+_ODD_AREA_VERDICT = Verdict(False, _ODD_AREA, None)
+_BOUND_FAIL_VERDICT = Verdict(False, _BOUND_FAIL, None)
+
+
+def _verdict(area: int, perimeter: int) -> Verdict:
+    reason = decide(area, perimeter)
+    if reason is _OK:
+        return Verdict(True, _OK, _build_companion(area, perimeter))
+    return _ODD_AREA_VERDICT if reason is _ODD_AREA else _BOUND_FAIL_VERDICT
+
+
 def classify_invariants(area: int, perimeter: int) -> Verdict:
-    """Full verdict for an (area, perimeter) pair, companion included."""
-    require_even_perimeter(perimeter)
-    if area % 2:
-        return Verdict(False, Reason.ODD_AREA, None)
-    if area * area < 16 * perimeter:
-        return Verdict(False, Reason.BOUND_FAIL, None)
-    return Verdict(True, Reason.OK, companion_from_invariants(area, perimeter))
+    """Full verdict for an (area, perimeter) pair, companion included.
+
+    Raises :class:`HeronianError` when no Heronian parallelogram has this
+    area and perimeter, so no verdict is given on impossible data.
+    """
+    if not exists_heronian_with(area, perimeter):
+        require_even_perimeter(perimeter)  # a bad perimeter is named as such
+        raise HeronianError(
+            f"no Heronian parallelogram has area {int_to_decimal(area)} "
+            f"and perimeter {int_to_decimal(perimeter)}"
+        )
+    return _verdict(area, perimeter)
 
 
 def classify(shape: Parallelogram) -> Verdict:
     """Full verdict for a parallelogram, companion included."""
-    return classify_invariants(shape.area, shape.perimeter)
+    return _verdict(shape.area, shape.perimeter)
+
+
+def _build_companion(area: int, perimeter: int) -> Parallelogram:
+    # Base ceil(area/4), the integer at or next to the peak of b*(area/2 - b).
+    base = (area + 3) // 4
+    return Parallelogram(base, area // 2 - base, perimeter)
 
 
 def companion_from_invariants(area: int, perimeter: int) -> Parallelogram:
@@ -117,17 +157,16 @@ def companion_from_invariants(area: int, perimeter: int) -> Parallelogram:
     quadratic bound, i.e. the side spans the height perimeter/base.
     Raises :class:`NotAmicable` when no companion exists.
     """
-    require_even_perimeter(perimeter)
-    if area % 2:
-        raise NotAmicable(Reason.ODD_AREA, f"area {int_to_decimal(area)} is odd")
-    if area * area < 16 * perimeter:
+    reason = decide(area, perimeter)
+    if reason is _ODD_AREA:
+        raise NotAmicable(reason, f"area {int_to_decimal(area)} is odd")
+    if reason is _BOUND_FAIL:
         raise NotAmicable(
-            Reason.BOUND_FAIL,
+            reason,
             f"area^2 < 16*perimeter for area {int_to_decimal(area)} "
             f"and perimeter {int_to_decimal(perimeter)}",
         )
-    base = area // 4 if area % 4 == 0 else (area + 2) // 4
-    return Parallelogram(base, area // 2 - base, perimeter)
+    return _build_companion(area, perimeter)
 
 
 def companion(shape: Parallelogram) -> Parallelogram:
@@ -159,7 +198,10 @@ def companion_exists_bruteforce(area: int, perimeter: int) -> bool:
     if area % 2:
         return False
     half = area // 2
-    return any(b * (half - b) >= perimeter for b in range(1, half))
+    for b in range(1, half):
+        if b * (half - b) >= perimeter:
+            return True
+    return False
 
 
 def companion_base_range(area: int, perimeter: int) -> range:
@@ -171,20 +213,15 @@ def companion_base_range(area: int, perimeter: int) -> range:
     discriminant and then settled by exact checks on the integers next to
     it, so the range is exact at any size.  Empty iff not amicable.
     """
-    require_even_perimeter(perimeter)
-    if area % 2 or area < 2:
+    if decide(area, perimeter) is not _OK or area < 2:
         return range(0)
     half = area // 2
-    disc = half * half - 4 * perimeter
-    if disc < 0:
-        return range(0)
     # isqrt is at most 1 below the real root, so this is the least base or
-    # one above it.
-    low = (half - isqrt(disc) + 1) // 2
+    # one above it.  A base exists: area^2 >= 16*perimeter puts the integer
+    # at or next to area/4 on or above the bound.
+    low = (half - isqrt(half * half - 4 * perimeter) + 1) // 2
     if (low - 1) * (half - low + 1) >= perimeter:
         low -= 1
-    if low * (half - low) < perimeter:
-        return range(0)
     return range(low, half - low + 1)
 
 

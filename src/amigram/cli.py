@@ -22,7 +22,6 @@ from .amicability import (
     classify,
     classify_invariants,
     companion_exists_bruteforce,
-    exists_heronian_with,
     is_amicable_invariants,
 )
 from .census import (
@@ -85,12 +84,6 @@ def _cmd_check(args) -> tuple[int, str]:
     if args.area is None:
         raise HeronianError("--area is required")
     if invariant_mode:
-        require_even_perimeter(args.perimeter)
-        if not exists_heronian_with(args.area, args.perimeter):
-            raise HeronianError(
-                f"no Heronian parallelogram has area {int_to_decimal(args.area)} "
-                f"and perimeter {int_to_decimal(args.perimeter)}"
-            )
         verdict = classify_invariants(args.area, args.perimeter)
     else:
         if args.base is None or args.side is None:

@@ -161,14 +161,19 @@ class Parallelogram:
         height = Fraction(height)
         if base < 1 or side < 1 or height <= 0:
             raise ZeroDimension(
-                f"base, side, and height must be positive, got "
-                f"({base}, {height}, {side})"
+                f"base, side, and height must be positive, got ({int_to_decimal(base)}, "
+                f"{_fraction_to_decimal(height)}, {int_to_decimal(side)})"
             )
         if side < height:
-            raise SideTooShort(f"side {side} is shorter than height {height}")
+            raise SideTooShort(
+                f"side {int_to_decimal(side)} is shorter than "
+                f"height {_fraction_to_decimal(height)}"
+            )
         area = base * height
         if area.denominator != 1:
-            raise NonIntegerArea(f"base*height = {area} is not an integer")
+            raise NonIntegerArea(
+                f"base*height = {_fraction_to_decimal(area)} is not an integer"
+            )
         return cls(base, side, int(area))
 
     @property
@@ -220,23 +225,45 @@ class Parallelogram:
     def from_json_dict(cls, data: dict) -> Parallelogram:
         """Parse the wire form produced by :meth:`to_json_dict`.
 
-        A present height field must agree with area/base in lowest terms.
+        Each integer is a plain ``int`` or a string of ASCII digits with an
+        optional leading ``-``; anything else raises :class:`HeronianError`.
+        A present height field must be area/base in lowest terms.
         """
         shape = cls(
-            decimal_to_int(data["base"]),
-            decimal_to_int(data["side"]),
-            decimal_to_int(data["area"]),
+            _json_int(data, "base"), _json_int(data, "side"), _json_int(data, "area")
         )
         height = data.get("height")
         if height is not None:
-            claimed = Fraction(
-                decimal_to_int(height["num"]), decimal_to_int(height["den"])
-            )
-            if claimed != shape.height:
+            if not isinstance(height, dict):
+                raise HeronianError("height field must be an object with num and den")
+            claimed = _json_int(height, "num"), _json_int(height, "den")
+            actual = shape.height
+            if claimed != (actual.numerator, actual.denominator):
                 raise HeronianError(
-                    f"height field {claimed} disagrees with area/base = {shape.height}"
+                    f"height field {int_to_decimal(claimed[0])}/"
+                    f"{int_to_decimal(claimed[1])} is not area/base = "
+                    f"{_fraction_to_decimal(actual)} in lowest terms"
                 )
         return shape
+
+
+def _json_int(data: dict, key: str) -> int:
+    """The integer in wire field ``key``: a plain int or -?[0-9]+ text."""
+    value = data.get(key)
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        digits = value[1:] if value.startswith("-") else value
+        if digits.isascii() and digits.isdigit():
+            return decimal_to_int(value)
+    raise HeronianError(f"field {key!r} must be a decimal integer, got {value!r:.40}")
+
+
+def _fraction_to_decimal(value: Fraction) -> str:
+    """``str(value)`` in the form Fraction prints, past the digit limit too."""
+    if value.denominator == 1:
+        return int_to_decimal(value.numerator)
+    return f"{int_to_decimal(value.numerator)}/{int_to_decimal(value.denominator)}"
 
 
 def require_even_perimeter(perimeter: int) -> None:

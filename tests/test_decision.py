@@ -1,0 +1,168 @@
+"""The closed form lives in ``decide``; everything else routes through it,
+and the brute-force oracle stays independent of it."""
+
+from math import isqrt
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import amigram.amicability as amicability
+import amigram.cli as cli
+from amigram import (
+    HeronianError,
+    InvalidPerimeter,
+    NotAmicable,
+    Parallelogram,
+    Reason,
+    Verdict,
+    classify,
+    classify_invariants,
+    companion_base_range,
+    companion_bases_exhaustive,
+    companion_exists_bruteforce,
+    companion_from_invariants,
+    decide,
+    is_amicable_invariants,
+)
+
+
+def written_out_reason(area, perimeter):
+    if area % 2 == 1:
+        return Reason.ODD_AREA
+    if area * area < 16 * perimeter:
+        return Reason.BOUND_FAIL
+    return Reason.OK
+
+
+@st.composite
+def realizable_pairs(draw):
+    """(area, perimeter) of some Heronian parallelogram, with half-perimeters
+    small or of 5000 digits, and areas anywhere in range or next to the
+    bound area^2 = 16*perimeter."""
+    half = draw(
+        st.one_of(
+            st.integers(min_value=2, max_value=300),
+            st.integers(min_value=10**4999, max_value=10**5000 - 1),
+        )
+    )
+    perimeter = 2 * half
+    max_area = (half // 2) * ((half + 1) // 2)
+    near_bound = isqrt(16 * perimeter) + draw(st.integers(min_value=-4, max_value=4))
+    area = draw(st.one_of(st.integers(min_value=1, max_value=max_area), st.just(near_bound)))
+    return min(max(area, 1), max_area), perimeter
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=realizable_pairs())
+def test_every_entry_point_agrees_with_the_written_out_closed_form(pair):
+    area, perimeter = pair
+    reason = written_out_reason(area, perimeter)
+    assert decide(area, perimeter) is reason
+    assert is_amicable_invariants(area, perimeter) is (reason is Reason.OK)
+    verdict = classify_invariants(area, perimeter)
+    if reason is Reason.OK:
+        partner = companion_from_invariants(area, perimeter)
+        assert (partner.perimeter, partner.area) == (area, perimeter)
+        assert verdict == Verdict(True, Reason.OK, partner)
+    else:
+        assert verdict == Verdict(False, reason, None)
+        with pytest.raises(NotAmicable) as exc:
+            companion_from_invariants(area, perimeter)
+        assert exc.value.reason is reason
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_classify_matches_classify_invariants(data):
+    base = data.draw(st.integers(min_value=1, max_value=60))
+    side = data.draw(st.integers(min_value=1, max_value=60))
+    area = data.draw(st.integers(min_value=1, max_value=base * side))
+    shape = Parallelogram(base, side, area)
+    assert classify(shape) == classify_invariants(area, shape.perimeter)
+
+
+def test_refusal_verdicts_are_shared_and_equal_fresh_ones():
+    odd = classify(Parallelogram(3, 4, 9))
+    assert odd is classify(Parallelogram(1, 9, 9))
+    assert odd == Verdict(False, Reason.ODD_AREA, None)
+    bound = classify(Parallelogram(42, 15, 42))
+    assert bound is classify_invariants(10, 16)
+    assert bound == Verdict(False, Reason.BOUND_FAIL, None)
+    assert classify(Parallelogram(7, 6, 42)) is not classify(Parallelogram(7, 6, 42))
+
+
+def test_bruteforce_matches_the_exhaustive_base_scan_on_a_grid():
+    for perimeter in range(4, 121, 2):
+        for area in range(1, 201):
+            assert companion_exists_bruteforce(area, perimeter) == bool(
+                companion_bases_exhaustive(area, perimeter)
+            ), (area, perimeter)
+
+
+def test_bruteforce_does_not_consult_the_closed_form(monkeypatch):
+    def refuse(area, perimeter):
+        raise AssertionError("the oracle must not call decide")
+
+    monkeypatch.setattr(amicability, "decide", refuse)
+    assert companion_exists_bruteforce(42, 26) is True
+    assert companion_exists_bruteforce(10, 16) is False
+    assert companion_exists_bruteforce(9, 16) is False
+
+
+def test_every_closed_form_route_goes_through_decide(monkeypatch):
+    monkeypatch.setattr(amicability, "decide", lambda area, perimeter: Reason.ODD_AREA)
+    assert is_amicable_invariants(42, 26) is False
+    assert classify_invariants(42, 26) == Verdict(False, Reason.ODD_AREA, None)
+    assert classify(Parallelogram(7, 6, 42)).reason is Reason.ODD_AREA
+    with pytest.raises(NotAmicable):
+        companion_from_invariants(42, 26)
+    assert companion_base_range(42, 26) == range(0)
+
+
+class TestImpossibleInvariants:
+    @pytest.mark.parametrize(
+        "area,perimeter",
+        [(10**9, 26), (-4, 4), (0, 8), (43, 26), (10**5000, 26)],
+        ids=["1e9-26", "-4-4", "0-8", "43-26", "1e5000-26"],
+    )
+    def test_classify_invariants_refuses(self, area, perimeter):
+        with pytest.raises(HeronianError, match="no Heronian parallelogram has area"):
+            classify_invariants(area, perimeter)
+
+    def test_message(self):
+        with pytest.raises(HeronianError) as exc:
+            classify_invariants(10**9, 26)
+        assert str(exc.value) == (
+            "no Heronian parallelogram has area 1000000000 and perimeter 26"
+        )
+
+    def test_bad_perimeter_still_reported_as_such(self):
+        with pytest.raises(InvalidPerimeter):
+            classify_invariants(10, 3)
+
+    def test_largest_area_of_a_huge_perimeter_is_accepted(self):
+        half = 10**5000 + 1
+        top = (half // 2) * ((half + 1) // 2)
+        assert classify_invariants(top, 2 * half).amicable is True
+        with pytest.raises(HeronianError):
+            classify_invariants(top + 1, 2 * half)
+
+    def test_unguarded_routes_still_answer(self):
+        assert is_amicable_invariants(10**9, 26) is True
+        assert decide(-4, 4) is Reason.BOUND_FAIL
+
+    def test_cli_check_reports_one_line(self, capsys):
+        assert cli.main(["check", "--area", "1000000000", "--perimeter", "26"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "amigram: error: no Heronian parallelogram has area 1000000000 "
+            "and perimeter 26\n"
+        )
+
+    def test_cli_check_odd_perimeter_message_unchanged(self, capsys):
+        assert cli.main(["check", "--area", "4", "--perimeter", "7"]) == 1
+        assert capsys.readouterr().err == (
+            "amigram: error: perimeter must be an even integer >= 4, got 7\n"
+        )
