@@ -21,7 +21,6 @@ from typing import Iterator
 
 from .amicability import is_amicable_invariants, is_self_amicable
 from .core import (
-    CanonicalKey,
     Parallelogram,
     ZeroDimension,
     int_to_decimal,
@@ -41,10 +40,6 @@ class CensusRow:
     perimeter: int
     amicable: bool
     self_amicable: bool
-
-    @property
-    def key(self) -> CanonicalKey:
-        return CanonicalKey(self.short_side, self.long_side, self.area)
 
     def to_csv(self) -> str:
         return (
@@ -116,7 +111,7 @@ def enumerate_by_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
     to ``max_perimeter``, ordered by (perimeter, shorter side)."""
     require_even_perimeter(max_perimeter)
     if area < 1:
-        raise ZeroDimension(f"area must be positive, got {area}")
+        raise ZeroDimension(f"area must be positive, got {int_to_decimal(area)}")
     for perimeter in range(4, max_perimeter + 1, 2):
         half = perimeter // 2
         for short in range(1, half // 2 + 1):
@@ -196,16 +191,13 @@ def non_amicable_witness_area(area: int) -> Parallelogram:
     here rather than trusted.
     """
     if area < 1:
-        raise ZeroDimension(f"area must be positive, got {area}")
+        raise ZeroDimension(f"area must be positive, got {int_to_decimal(area)}")
     if area % 2:
         return Parallelogram(area, 1, area)
     side = max(1, area * area // 32 - area + 2)
     shape = Parallelogram(area, side, area)
-    if area * area >= 16 * shape.perimeter:
-        raise AssertionError(
-            f"witness construction failed for area {area}: "
-            f"{area}^2 >= 16*{shape.perimeter}"
-        )
+    if is_amicable_invariants(area, shape.perimeter):
+        raise AssertionError(f"witness for area {int_to_decimal(area)} is amicable")
     return shape
 
 

@@ -36,19 +36,24 @@ from .core import (
     HeronianError,
     Parallelogram,
     decimal_to_int,
-    int_to_decimal,
     require_even_perimeter,
 )
 from .families import verify_family
 from .render import RenderSpec, render_svg
 
 
+def _report(message) -> int:
+    """Write the one stderr line every rejection gets; return exit code 1."""
+    sys.stderr.write(f"amigram: error: {message}\n")
+    return 1
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved here for
-    # failed mathematical verification, so remap usage problems to 1.
+    # argparse prints usage and exits 2 on usage errors; 2 is reserved here
+    # for failed mathematical verification, so report them like any other
+    # invalid input.
     def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        raise SystemExit(_report(message))
 
 
 def _positive_int(text: str) -> int:
@@ -77,27 +82,16 @@ def _verify_perimeter(perimeter: int) -> tuple[int, int, list[tuple[int, int]]]:
 
 
 def _cmd_check(args) -> tuple[int, str]:
-    invariant_mode = args.perimeter is not None
-    triple_mode = args.base is not None or args.side is not None
-    if invariant_mode and triple_mode:
-        raise HeronianError("give either --area/--perimeter or --base/--side/--area")
-    if args.area is None:
-        raise HeronianError("--area is required")
-    if invariant_mode:
+    if args.perimeter is not None and args.base is None and args.side is None:
         verdict = classify_invariants(args.area, args.perimeter)
-    else:
-        if args.base is None or args.side is None:
-            raise HeronianError("give either --area/--perimeter or --base/--side/--area")
+    elif args.perimeter is None and args.base is not None and args.side is not None:
         verdict = classify(Parallelogram(args.base, args.side, args.area))
+    else:
+        raise HeronianError("give either --area/--perimeter or --base/--side/--area")
     return 0, json.dumps(verdict.to_json_dict()) + "\n"
 
 
 def _cmd_family(args) -> tuple[int, str]:
-    if args.stop < args.start:
-        raise HeronianError(
-            f"--to {int_to_decimal(args.stop)} is below "
-            f"--from {int_to_decimal(args.start)}"
-        )
     rows = verify_family(args.start, args.stop)
     text = "".join(json.dumps(row.to_json_dict()) + "\n" for row in rows)
     return (0 if all(row.passed for row in rows) else 2), text
@@ -154,8 +148,6 @@ def _cmd_rectangles(args) -> tuple[int, str]:
 
 
 def _cmd_witness(args) -> tuple[int, str]:
-    if (args.area is None) == (args.perimeter is None):
-        raise HeronianError("give exactly one of --area or --perimeter")
     if args.area is not None:
         shape = non_amicable_witness_area(args.area)
     else:
@@ -189,7 +181,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common], help="amicability verdict for one shape")
-    p.add_argument("--area", type=_positive_int)
+    p.add_argument("--area", type=_positive_int, required=True)
     p.add_argument("--perimeter", type=_positive_int)
     p.add_argument("--base", type=_positive_int)
     p.add_argument("--side", type=_positive_int)
@@ -222,8 +214,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_rectangles)
 
     p = sub.add_parser("witness", parents=[common], help="a non-amicable shape on demand")
-    p.add_argument("--area", type=_positive_int)
-    p.add_argument("--perimeter", type=_positive_int)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--area", type=_positive_int)
+    given.add_argument("--perimeter", type=_positive_int)
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("render", parents=[common], help="SVG diagram of a shape")
@@ -244,18 +237,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code, text = args.handler(args)
     except HeronianError as exc:
-        print(f"amigram: error: {exc}", file=sys.stderr)
-        return 1
+        return _report(exc)
     if args.output:
         try:
             with open(args.output, "w", newline="") as handle:
                 handle.write(text)
         except OSError as exc:
-            reason = exc.strerror or exc
-            print(
-                f"amigram: error: cannot write {args.output}: {reason}", file=sys.stderr
-            )
-            return 1
+            return _report(f"cannot write {args.output}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
     return code

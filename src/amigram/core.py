@@ -74,22 +74,22 @@ def _digits_of(value: int) -> str:
     return _digits_of(high) + _digits_of(low).zfill(low_digits)
 
 
-def decimal_to_int(text: str | int) -> int:
-    """Parse what ``int`` parses, and also decimal text past the digit limit.
+def decimal_to_int(text: str) -> int:
+    """Parse decimal text: ASCII ``-?[0-9]+`` at any length, nothing else.
 
-    Small inputs take plain ``int``.  Text too long for it is accepted only
-    as an optional sign followed by ASCII digits.
+    Anything else, a non-string included, raises :class:`HeronianError`.
+    Checked text takes plain ``int`` when it is short enough for it.
     """
-    try:
-        return int(text)
-    except ValueError:
-        if not isinstance(text, str) or len(text) <= _DIGIT_CHUNK:
-            raise
-    digits = text[1:] if text[0] in "+-" else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid decimal integer of {len(text)} characters")
-    value = _value_of(digits)
-    return -value if text[0] == "-" else value
+    if isinstance(text, str):
+        digits = text[1:] if text.startswith("-") else text
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(text)
+            except ValueError:  # past the int/str digit limit
+                value = _value_of(digits)
+                return -value if text[0] == "-" else value
+        raise HeronianError(f"not a decimal integer (-?[0-9]+): {text!r:.40}")
+    raise HeronianError(f"decimal text expected, got {type(text).__name__}")
 
 
 def _value_of(digits: str) -> int:
@@ -229,6 +229,9 @@ class Parallelogram:
         optional leading ``-``; anything else raises :class:`HeronianError`.
         A present height field must be area/base in lowest terms.
         """
+        if not isinstance(data, dict):
+            kind = type(data).__name__
+            raise HeronianError(f"wire form must be an object, got {kind}")
         shape = cls(
             _json_int(data, "base"), _json_int(data, "side"), _json_int(data, "area")
         )
@@ -252,11 +255,12 @@ def _json_int(data: dict, key: str) -> int:
     value = data.get(key)
     if type(value) is int:
         return value
-    if isinstance(value, str):
-        digits = value[1:] if value.startswith("-") else value
-        if digits.isascii() and digits.isdigit():
-            return decimal_to_int(value)
-    raise HeronianError(f"field {key!r} must be a decimal integer, got {value!r:.40}")
+    try:
+        return decimal_to_int(value)
+    except HeronianError:
+        raise HeronianError(
+            f"field {key!r} must be a decimal integer, got {value!r:.40}"
+        ) from None
 
 
 def _fraction_to_decimal(value: Fraction) -> str:

@@ -26,11 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .amicability import is_amicable, verify_pair
-from .core import HeronianError, Parallelogram
+from .core import HeronianError, Parallelogram, int_to_decimal
 
 
 class IndexTooSmall(HeronianError):
     """Family index below 4, where the partner's area bound breaks down."""
+
+
+def _negative_index(n: int) -> HeronianError:
+    return HeronianError(f"index must be non-negative, got {int_to_decimal(n)}")
 
 
 def fib(n: int) -> int:
@@ -40,7 +44,7 @@ def fib(n: int) -> int:
     with F(2k) = F(k)*(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2.
     """
     if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
+        raise _negative_index(n)
     a, b = 0, 1
     for bit in bin(n)[2:]:
         a, b = a * (2 * b - a), a * a + b * b
@@ -56,7 +60,7 @@ def lucas(n: int) -> int:
     with L(2k) = L(k)^2 - 2(-1)^k and L(2k+1) = L(k)L(k+1) - (-1)^k.
     """
     if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
+        raise _negative_index(n)
     a, b, sign = 2, 1, 1  # sign = (-1)^k
     for bit in bin(n)[2:]:
         a, b = a * a - 2 * sign, a * b - sign
@@ -69,7 +73,7 @@ def lucas(n: int) -> int:
 def fib_iterative(n: int) -> int:
     """F(n) by n additions; the oracle for :func:`fib`."""
     if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
+        raise _negative_index(n)
     a, b = 0, 1
     for _ in range(n):
         a, b = b, a + b
@@ -79,7 +83,7 @@ def fib_iterative(n: int) -> int:
 def lucas_iterative(n: int) -> int:
     """L(n) by n additions; the oracle for :func:`lucas`."""
     if n < 0:
-        raise ValueError(f"index must be non-negative, got {n}")
+        raise _negative_index(n)
     a, b = 2, 1
     for _ in range(n):
         a, b = b, a + b
@@ -122,7 +126,7 @@ def family_pair(n: int) -> FamilyEntry:
     existence bound is enforced rather than assumed.
     """
     if n <= 3:
-        raise IndexTooSmall(f"family is defined for n >= 4, got {n}")
+        raise IndexTooSmall(f"family is defined for n >= 4, got {int_to_decimal(n)}")
     rectangle = Parallelogram(lucas(n), 2 * fib(n), 2 * fib(n) * lucas(n))
     partner = Parallelogram(fib(2 * n - 2), fib(2 * n - 1), 2 * fib(n + 3))
     return FamilyEntry(n, rectangle, partner)
@@ -136,10 +140,11 @@ def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
     area fits under base*side.  Nothing is taken from the construction
     formulas; every quantity is recomputed exactly.
     """
-    if start <= 3:
-        raise IndexTooSmall(f"family is defined for n >= 4, got {start}")
     if stop < start:
-        raise ValueError(f"empty range [{start}, {stop}]")
+        raise HeronianError(
+            f"empty range: stop {int_to_decimal(stop)} is below "
+            f"start {int_to_decimal(start)}"
+        )
     rows = []
     for n in range(start, stop + 1):
         entry = family_pair(n)

@@ -3,9 +3,10 @@
 The only floating-point code in the package lives here, and only to place
 vertices on the page: a shape with base b, height h, and side s is drawn
 with corners (0,0), (b,0), (b+x,h), (x,h) where x = sqrt(s^2 - h^2).  The
-inner difference s^2 - h^2 is computed exactly before the one lossy square
-root, so coordinates are correct to double-precision rounding.  All numbers
-are printed with fixed 9-decimal formatting to keep output byte-stable.
+inner difference s^2 - h^2 is an exact ratio of integers, rounded once to a
+float before the square root, so coordinates are correct to double-precision
+rounding.  All numbers are printed with fixed 9-decimal formatting to keep
+output byte-stable.
 A canvas too small for its margins, or a shape too large for a float, is
 refused with :class:`RenderError`.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import amicability
 from .core import HeronianError, Parallelogram
@@ -44,12 +44,13 @@ def model_vertices(shape: Parallelogram) -> list[tuple[float, float]]:
     The shear offset sqrt(side^2 - height^2) is well-defined because the
     height never exceeds the side.
     """
-    height = shape.height
-    offset_sq = Fraction(shape.side) ** 2 - height * height
+    base, side, area = shape.base, shape.side, shape.area
     try:
-        offset = math.sqrt(offset_sq.numerator / offset_sq.denominator)
-        h = height.numerator / height.denominator
-        b = float(shape.base)
+        # side^2 - (area/base)^2 as one exact integer ratio; int / int is
+        # correctly rounded, so each float is the exact value rounded once.
+        offset = math.sqrt(((side * base) ** 2 - area * area) / (base * base))
+        h = area / base
+        b = float(base)
     except OverflowError as exc:
         raise RenderError(f"shape too large to draw: {exc}") from None
     return [(0.0, 0.0), (b, 0.0), (b + offset, h), (offset, h)]
