@@ -92,6 +92,11 @@ class RectanglePair:
         }
 
 
+def _require_positive_area(area: int) -> None:
+    if area < 1:
+        raise ZeroDimension(f"area must be positive, got {int_to_decimal(area)}")
+
+
 def enumerate_by_perimeter(perimeter: int) -> Iterator[Parallelogram]:
     """Every canonical parallelogram with the given perimeter, once each.
 
@@ -110,8 +115,7 @@ def enumerate_by_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
     """Every canonical parallelogram with this exact area and perimeter up
     to ``max_perimeter``, ordered by (perimeter, shorter side)."""
     require_even_perimeter(max_perimeter)
-    if area < 1:
-        raise ZeroDimension(f"area must be positive, got {int_to_decimal(area)}")
+    _require_positive_area(area)
     for perimeter in range(4, max_perimeter + 1, 2):
         half = perimeter // 2
         for short in range(1, half // 2 + 1):
@@ -190,8 +194,7 @@ def non_amicable_witness_area(area: int) -> Parallelogram:
     padding that forces the failure is used, and the failure is re-checked
     here rather than trusted.
     """
-    if area < 1:
-        raise ZeroDimension(f"area must be positive, got {int_to_decimal(area)}")
+    _require_positive_area(area)
     if area % 2:
         return Parallelogram(area, 1, area)
     side = max(1, area * area // 32 - area + 2)

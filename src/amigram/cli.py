@@ -13,8 +13,8 @@ LF line endings, no timestamps or locale-dependent formatting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import multiprocessing
 import sys
 from typing import Sequence
 
@@ -57,7 +57,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    value = decimal_to_int(text)
+    # argparse reports a plain ValueError as "invalid <function name> value";
+    # ArgumentTypeError makes it print the library's own message.
+    try:
+        value = decimal_to_int(text)
+    except HeronianError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
@@ -101,6 +106,10 @@ def _cmd_verify(args) -> tuple[int, str]:
     require_even_perimeter(args.max_perimeter)
     perimeters = list(range(4, args.max_perimeter + 1, 2))
     if args.threads > 1:
+        # Imported here: at module level it adds about 10 ms to every
+        # command's start, and only this branch uses it.
+        import multiprocessing
+
         with multiprocessing.Pool(processes=args.threads) as pool:
             results = pool.map(_verify_perimeter, perimeters)
     else:
@@ -166,7 +175,13 @@ def _cmd_render(args) -> tuple[int, str]:
     return 0, render_svg(spec)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.
+
+    Building it costs about a millisecond, far more than a parse.  Parsing
+    keeps no state in the parser, so every :func:`main` call shares it.
+    """
     common = _Parser(add_help=False)
     common.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
     common.add_argument(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 # CPython refuses int<->str conversions of more than 4300 digits by default,
@@ -210,15 +211,19 @@ class Parallelogram:
         Schema: {"base": str, "side": str, "area": str,
                  "height": {"num": str, "den": str}}
         """
-        height = self.height
+        base = int_to_decimal(self.base)
+        area = int_to_decimal(self.area)
+        common = gcd(self.area, self.base)
+        if common == 1:  # already in lowest terms: reuse the text
+            num, den = area, base
+        else:
+            num = int_to_decimal(self.area // common)
+            den = int_to_decimal(self.base // common)
         return {
-            "base": int_to_decimal(self.base),
+            "base": base,
             "side": int_to_decimal(self.side),
-            "area": int_to_decimal(self.area),
-            "height": {
-                "num": int_to_decimal(height.numerator),
-                "den": int_to_decimal(height.denominator),
-            },
+            "area": area,
+            "height": {"num": num, "den": den},
         }
 
     @classmethod
@@ -232,29 +237,41 @@ class Parallelogram:
         if not isinstance(data, dict):
             kind = type(data).__name__
             raise HeronianError(f"wire form must be an object, got {kind}")
-        shape = cls(
-            _json_int(data, "base"), _json_int(data, "side"), _json_int(data, "area")
-        )
+        base = _json_int(data, "base")
+        side = _json_int(data, "side")
+        area = _json_int(data, "area")
+        shape = cls(base, side, area)
         height = data.get("height")
         if height is not None:
             if not isinstance(height, dict):
                 raise HeronianError("height field must be an object with num and den")
-            claimed = _json_int(height, "num"), _json_int(height, "den")
-            actual = shape.height
-            if claimed != (actual.numerator, actual.denominator):
+            # A height already in lowest terms repeats the area and base
+            # text, which has been parsed once already.
+            claimed = (
+                _json_int(height, "num", data["area"], area),
+                _json_int(height, "den", data["base"], base),
+            )
+            common = gcd(area, base)
+            if claimed != (area // common, base // common):
                 raise HeronianError(
                     f"height field {int_to_decimal(claimed[0])}/"
                     f"{int_to_decimal(claimed[1])} is not area/base = "
-                    f"{_fraction_to_decimal(actual)} in lowest terms"
+                    f"{_fraction_to_decimal(shape.height)} in lowest terms"
                 )
         return shape
 
 
-def _json_int(data: dict, key: str) -> int:
-    """The integer in wire field ``key``: a plain int or -?[0-9]+ text."""
+def _json_int(data: dict, key: str, parsed_text=None, parsed_value=None) -> int:
+    """The integer in wire field ``key``: a plain int or -?[0-9]+ text.
+
+    Text equal to ``parsed_text``, whose value is ``parsed_value``, is not
+    parsed again.
+    """
     value = data.get(key)
     if type(value) is int:
         return value
+    if type(value) is type(parsed_text) is str and value == parsed_text:
+        return parsed_value
     try:
         return decimal_to_int(value)
     except HeronianError:

@@ -98,6 +98,13 @@ class TestOneLineRejections:
         assert result.stderr.count("\n") == 1
         assert result.stdout == ""
 
+    def test_bad_integer_flag_carries_the_grammar(self):
+        # argparse used to name the type function: "invalid _positive_int value"
+        result = run_cli("check", "--area", "4_2", "--perimeter", "26")
+        assert result.stderr == (
+            "amigram: error: argument --area: not a decimal integer (-?[0-9]+): '4_2'\n"
+        )
+
     def test_help_still_prints_usage(self):
         result = run_cli("check", "-h")
         assert result.returncode == 0

@@ -1,0 +1,178 @@
+"""Fixed per-request costs must not change any answer.
+
+The CLI builds its parser once per process and imports ``multiprocessing``
+only when ``verify`` fans out; the wire form converts each integer once.
+Every in-process ``cli.main`` call must still answer as a fresh process
+does, and the wire text must stay the one the ``Fraction`` route produced.
+"""
+
+import json
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import amigram.cli as cli
+from amigram import HeronianError, Parallelogram, int_to_decimal
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Run in this order in one process: every subcommand, both check modes and
+# both witness modes one after the other, rejections from argparse (through
+# _Parser.error) and from the library, -h, and then the first call again.
+SEQUENCE = [
+    (["check", "--base", "7", "--side", "6", "--area", "42"], "check_7_6_42.json"),
+    (["check", "--area", "42", "--perimeter", "26"], "check_7_6_42.json"),
+    (["family", "--from", "4", "--to", "10"], "family_4_10.jsonl"),
+    (["verify", "--max-perimeter", "20"], None),
+    (["enumerate", "--perimeter", "8"], "enumerate_p8.csv"),
+    (["enumerate", "--perimeter", "8", "--format", "jsonl", "--amicable-only"], None),
+    (["census", "--max-perimeter", "30"], None),
+    (["rectangles"], "rectangles.jsonl"),
+    (["witness", "--area", "10"], None),
+    (["witness", "--perimeter", "26"], None),
+    (["render", "--base", "7", "--side", "6", "--area", "42", "--companion"],
+     "render_7_6_42.svg"),
+    (["check", "--area", "4_2", "--perimeter", "26"], None),
+    (["witness", "--area", "4", "--perimeter", "8"], None),
+    (["check", "--area", "42", "--perimeter", "7"], None),
+    (["check", "-h"], None),
+    (["check", "--base", "7", "--side", "6", "--area", "42"], "check_7_6_42.json"),
+]
+
+
+def in_process(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def in_subprocess(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "amigram", *argv], capture_output=True, text=True
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_repeated_main_calls_answer_as_fresh_processes(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the same -h layout in both runs
+    answers = [in_process(argv, capsys) for argv, _ in SEQUENCE]
+    assert cli._build_parser() is cli._build_parser()
+    for (argv, golden), answer in zip(SEQUENCE, answers):
+        assert answer == in_subprocess(argv), argv
+        if golden is not None:
+            assert answer[:2] == (0, (GOLDEN / golden).read_text()), argv
+    codes = [code for code, _, _ in answers]
+    assert codes == [0] * 11 + [1, 1, 1, 0, 0]
+
+
+def test_import_leaves_multiprocessing_out():
+    code = (
+        "import sys, amigram.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
+SPAWNED_MAIN = """
+import multiprocessing, sys
+from amigram.cli import main
+multiprocessing.set_start_method("spawn")
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_threads_under_spawn_match_one_thread():
+    def verify(threads):
+        return subprocess.run(
+            [sys.executable, "-c", SPAWNED_MAIN, "verify", "--max-perimeter", "60",
+             "--threads", threads],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    single, spawned = verify("1"), verify("2")
+    assert spawned.returncode == single.returncode == 0, spawned.stderr
+    assert spawned.stdout == single.stdout
+    assert "cells: 2360\n" in spawned.stdout
+
+
+def wire_by_fraction(shape):
+    """The wire form built the literal way, with the height as a Fraction."""
+    height = Fraction(shape.area, shape.base)
+    return {
+        "base": int_to_decimal(shape.base),
+        "side": int_to_decimal(shape.side),
+        "area": int_to_decimal(shape.area),
+        "height": {
+            "num": int_to_decimal(height.numerator),
+            "den": int_to_decimal(height.denominator),
+        },
+    }
+
+
+@st.composite
+def scaled_shapes(draw):
+    """area = num*common and base = den*common, each up to 5000 digits;
+    common is 1 (often coprime) or larger (never coprime)."""
+    digits = draw(st.integers(min_value=1, max_value=2500))
+    num = draw(st.integers(min_value=1, max_value=10**digits))
+    den = draw(st.integers(min_value=1, max_value=10**digits))
+    common = draw(st.one_of(st.just(1), st.integers(2, 10**digits)))
+    area = num * common
+    return Parallelogram(den * common, area, area)  # side = area fits any base
+
+
+class TestWireForm:
+    @settings(max_examples=150, deadline=None)
+    @given(shape=scaled_shapes())
+    @example(shape=Parallelogram(10**4999 + 1, 10**4999, 10**4999))
+    @example(shape=Parallelogram(6 * 10**4999, 10**4999, 4 * 10**4999))
+    def test_height_in_lowest_terms_and_text_unchanged(self, shape):
+        wire = shape.to_json_dict()
+        height = Fraction(shape.area, shape.base)
+        assert wire["height"] == {
+            "num": int_to_decimal(height.numerator),
+            "den": int_to_decimal(height.denominator),
+        }
+        assert json.dumps(wire) == json.dumps(wire_by_fraction(shape))
+        assert Parallelogram.from_json_dict(json.loads(json.dumps(wire))) == shape
+
+    @pytest.mark.parametrize("digits", [1, 5000])
+    def test_unreduced_height_rejected(self, digits):
+        shape = Parallelogram(4 * 10**digits, 3, 6 * 10**digits)
+        wire = shape.to_json_dict()
+        wire["height"] = {"num": wire["area"], "den": wire["base"]}
+        with pytest.raises(HeronianError, match="in lowest terms$"):
+            Parallelogram.from_json_dict(wire)
+
+    def test_unreduced_height_message_unchanged(self):
+        wire = Parallelogram(4, 3, 6).to_json_dict()
+        wire["height"] = {"num": "6", "den": "4"}
+        with pytest.raises(HeronianError) as exc:
+            Parallelogram.from_json_dict(wire)
+        assert str(exc.value) == "height field 6/4 is not area/base = 3/2 in lowest terms"
+
+    @pytest.mark.parametrize("field", ["num", "den"])
+    @pytest.mark.parametrize("value", [True, 1.0], ids=repr)
+    def test_non_integer_height_field_rejected(self, field, value):
+        wire = Parallelogram(1, 1, 1).to_json_dict()
+        wire["height"][field] = value
+        with pytest.raises(HeronianError, match=f"field '{field}'"):
+            Parallelogram.from_json_dict(wire)
+
+    def test_reused_text_must_match_in_type(self):
+        # the area as a JSON integer and num as equal text still parse
+        wire = {"base": 2, "side": 3, "area": "3", "height": {"num": 3, "den": "2"}}
+        assert Parallelogram.from_json_dict(wire) == Parallelogram(2, 3, 3)
