@@ -32,6 +32,7 @@ from .core import (
     Parallelogram,
     int_to_decimal,
     require_even_perimeter,
+    slot_setters,
 )
 
 
@@ -56,7 +57,7 @@ class NotAmicable(HeronianError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Amicability decision with a machine-checkable reason.
 
@@ -67,12 +68,19 @@ class Verdict:
     reason: Reason
     companion: Parallelogram | None
 
-    def __post_init__(self) -> None:
-        consistent = self.amicable == (self.reason is Reason.OK) == (
-            self.companion is not None
-        )
-        if not consistent:
-            raise ValueError(f"inconsistent verdict: {self}")
+    def __init__(
+        self, amicable: bool, reason: Reason, companion: Parallelogram | None
+    ) -> None:
+        # Written out like Parallelogram's: the check runs before the fields
+        # are stored, and an OK verdict is built once per amicable shape.
+        if not amicable == (reason is _OK) == (companion is not None):
+            raise ValueError(
+                f"inconsistent verdict: Verdict(amicable={amicable!r}, "
+                f"reason={reason!r}, companion={companion!r})"
+            )
+        _set_amicable(self, amicable)
+        _set_reason(self, reason)
+        _set_companion(self, companion)
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,6 +90,9 @@ class Verdict:
             if self.companion is None
             else self.companion.to_json_dict(),
         }
+
+
+_set_amicable, _set_reason, _set_companion = slot_setters(Verdict)
 
 
 def decide(area: int, perimeter: int) -> Reason:

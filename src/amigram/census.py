@@ -43,7 +43,8 @@ class CensusRow:
 
     def to_csv(self) -> str:
         return (
-            f"{self.short_side},{self.long_side},{self.area},{self.perimeter},"
+            f"{int_to_decimal(self.short_side)},{int_to_decimal(self.long_side)},"
+            f"{int_to_decimal(self.area)},{int_to_decimal(self.perimeter)},"
             f"{str(self.amicable).lower()},{str(self.self_amicable).lower()}"
         )
 
@@ -101,9 +102,14 @@ def enumerate_by_perimeter(perimeter: int) -> Iterator[Parallelogram]:
     """Every canonical parallelogram with the given perimeter, once each.
 
     For each unordered side split a <= s of perimeter/2, every area from 1
-    to a*s; ordered by (shorter side, area).
+    to a*s; ordered by (shorter side, area).  Invalid input raises here,
+    not at the first ``next()``.
     """
     require_even_perimeter(perimeter)
+    return _shapes_with_perimeter(perimeter)
+
+
+def _shapes_with_perimeter(perimeter: int) -> Iterator[Parallelogram]:
     half = perimeter // 2
     for short in range(1, half // 2 + 1):
         long = half - short
@@ -113,9 +119,14 @@ def enumerate_by_perimeter(perimeter: int) -> Iterator[Parallelogram]:
 
 def enumerate_by_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
     """Every canonical parallelogram with this exact area and perimeter up
-    to ``max_perimeter``, ordered by (perimeter, shorter side)."""
+    to ``max_perimeter``, ordered by (perimeter, shorter side).  Invalid
+    input raises here, not at the first ``next()``."""
     require_even_perimeter(max_perimeter)
     _require_positive_area(area)
+    return _shapes_with_area(area, max_perimeter)
+
+
+def _shapes_with_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
     for perimeter in range(4, max_perimeter + 1, 2):
         half = perimeter // 2
         for short in range(1, half // 2 + 1):
@@ -136,9 +147,11 @@ def census_row(shape: Parallelogram) -> CensusRow:
 
 
 def census_rows(perimeter: int) -> Iterator[CensusRow]:
-    """Canonical census rows for one perimeter, in enumeration order."""
-    for shape in enumerate_by_perimeter(perimeter):
-        yield census_row(shape)
+    """Canonical census rows for one perimeter, in enumeration order.
+
+    Like :func:`enumerate_by_perimeter`, raises on a bad perimeter here.
+    """
+    return map(census_row, enumerate_by_perimeter(perimeter))
 
 
 def count_amicable(max_perimeter: int) -> list[PerimeterCounts]:

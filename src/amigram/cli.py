@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -104,21 +105,33 @@ def _cmd_family(args) -> tuple[int, str]:
 
 def _cmd_verify(args) -> tuple[int, str]:
     require_even_perimeter(args.max_perimeter)
-    perimeters = list(range(4, args.max_perimeter + 1, 2))
-    if args.threads > 1:
+    perimeters = range(4, args.max_perimeter + 1, 2)
+    # No more workers than cores or perimeters: a pool starts every worker
+    # before it maps.  len() of a range fails past sys.maxsize, so count here.
+    workers = min(args.threads, os.cpu_count() or 1, (args.max_perimeter - 2) // 2)
+    if workers > 1:
         # Imported here: at module level it adds about 10 ms to every
         # command's start, and only this branch uses it.
         import multiprocessing
 
-        with multiprocessing.Pool(processes=args.threads) as pool:
-            results = pool.map(_verify_perimeter, perimeters)
-    else:
-        results = [_verify_perimeter(p) for p in perimeters]
-    cells = sum(r[0] for r in results)
-    agreements = sum(r[1] for r in results)
-    disagreements = [cell for r in results for cell in r[2]]
+        with multiprocessing.Pool(processes=workers) as pool:
+            return _verify_report(
+                args.max_perimeter, pool.imap(_verify_perimeter, perimeters)
+            )
+    return _verify_report(args.max_perimeter, map(_verify_perimeter, perimeters))
+
+
+def _verify_report(max_perimeter: int, rows) -> tuple[int, str]:
+    """Exit code and report from the per-perimeter rows, taken in order
+    and added up as they come."""
+    cells = agreements = 0
+    disagreements = []
+    for row_cells, row_agreements, row_disagreements in rows:
+        cells += row_cells
+        agreements += row_agreements
+        disagreements.extend(row_disagreements)
     lines = [
-        f"max perimeter: {args.max_perimeter}",
+        f"max perimeter: {max_perimeter}",
         f"cells: {cells}",
         f"agreements: {agreements}",
         f"disagreements: {len(disagreements)}",

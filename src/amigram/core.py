@@ -13,7 +13,7 @@ All arithmetic in this module is exact: Python integers and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -102,6 +102,17 @@ def _value_of(digits: str) -> int:
     )
 
 
+def slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order.
+
+    For the hand-written ``__init__`` of a ``@dataclass(frozen=True,
+    slots=True)``: ``setter(self, value)`` stores a validated field past the
+    frozen ``__setattr__``, as ``object.__setattr__`` would, without looking
+    the descriptor up by name on each call.
+    """
+    return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
+
+
 class CanonicalKey(NamedTuple):
     """Geometric identity of a parallelogram for counting purposes.
 
@@ -146,9 +157,12 @@ class Parallelogram:
                 f"area {int_to_decimal(area)} exceeds "
                 f"base*side = {int_to_decimal(base * side)}"
             )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "area", area)
+        # Stored through the slot descriptors themselves (bound once, below
+        # the class), which skips the by-name lookup object.__setattr__ does
+        # on every call.  The frozen __setattr__ still refuses assignment.
+        _set_base(self, base)
+        _set_side(self, side)
+        _set_area(self, area)
 
     @classmethod
     def from_base_height_side(
@@ -259,6 +273,9 @@ class Parallelogram:
                     f"{_fraction_to_decimal(shape.height)} in lowest terms"
                 )
         return shape
+
+
+_set_base, _set_side, _set_area = slot_setters(Parallelogram)
 
 
 def _json_int(data: dict, key: str, parsed_text=None, parsed_value=None) -> int:

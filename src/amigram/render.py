@@ -7,8 +7,8 @@ inner difference s^2 - h^2 is an exact ratio of integers, rounded once to a
 float before the square root, so coordinates are correct to double-precision
 rounding.  All numbers are printed with fixed 9-decimal formatting to keep
 output byte-stable.
-A canvas too small for its margins, or a shape too large for a float, is
-refused with :class:`RenderError`.
+A canvas too small for its margins, or a canvas or shape too large for a
+float, is refused with :class:`RenderError`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ _FONT_SIZE = 13
 
 
 class RenderError(HeronianError):
-    """The canvas is too small, or the shape too large, to draw."""
+    """The canvas is too small, or the canvas or shape too large, to draw."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,10 @@ def render_svg(spec: RenderSpec) -> str:
     avail_h = spec.height - 2 * spec.margin - _LABEL_BAND
     if avail_w <= 0 or avail_h <= 0:
         raise RenderError("canvas too small for the requested margins")
-    scale = min(avail_w / sum(widths), avail_h / tallest)
+    try:
+        scale = min(avail_w / sum(widths), avail_h / tallest)
+    except OverflowError as exc:
+        raise RenderError(f"canvas too large to draw: {exc}") from None
 
     baseline = spec.margin + avail_h  # px row where model y = 0 sits
     parts = [

@@ -70,6 +70,13 @@ class TestEnumerateByPerimeter:
         with pytest.raises(InvalidPerimeter):
             list(enumerate_by_perimeter(perimeter))
 
+    @pytest.mark.parametrize("perimeter", [7, 2])
+    def test_bad_perimeter_raises_at_the_call(self, perimeter):
+        with pytest.raises(InvalidPerimeter):
+            enumerate_by_perimeter(perimeter)
+        with pytest.raises(InvalidPerimeter):
+            census_rows(perimeter)
+
 
 class TestEnumerateByArea:
     def test_area_42_up_to_30(self):
@@ -101,6 +108,12 @@ class TestEnumerateByArea:
         with pytest.raises(InvalidPerimeter):
             list(enumerate_by_area(5, 21))
 
+    def test_bad_arguments_raise_at_the_call(self):
+        with pytest.raises(ZeroDimension):
+            enumerate_by_area(0, 8)
+        with pytest.raises(InvalidPerimeter):
+            enumerate_by_area(5, 21)
+
 
 class TestCensusRows:
     def test_row_for_known_amicable(self):
@@ -117,6 +130,12 @@ class TestCensusRows:
         row = census_row(Parallelogram(7, 6, 42))
         assert row.to_csv() == "6,7,42,26,true,false"
         assert CSV_HEADER == "short_side,long_side,area,perimeter,amicable,self_amicable"
+
+    def test_csv_line_past_the_digit_limit(self):
+        row = next(census_rows(10**5000))
+        assert row.to_csv() == (
+            "1," + "4" + "9" * 4999 + ",1,1" + "0" * 5000 + ",false,false"
+        )
 
     def test_json_dict_types(self):
         d = census_row(Parallelogram(4, 4, 16)).to_json_dict()

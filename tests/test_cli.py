@@ -127,6 +127,61 @@ class TestVerify:
         assert "disagree: area=3 perimeter=8" in out
 
 
+    @pytest.mark.parametrize(
+        "threads,cpus,max_perimeter,pool_size",
+        [
+            (64, 8, "6", 2),  # two perimeters: 4 and 6
+            (64, 4, "40", 4),  # four cores
+            (3, 8, "40", 3),  # three threads asked for
+            (64, 8, "4", None),  # one perimeter: no pool
+            (64, None, "40", None),  # core count unknown: no pool
+            (1, 8, "40", None),
+        ],
+    )
+    def test_pool_capped_by_cores_and_perimeters(
+        self, monkeypatch, capsys, threads, cpus, max_perimeter, pool_size
+    ):
+        import multiprocessing
+
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def imap(self, func, iterable):
+                return map(func, iterable)
+
+        argv = ["verify", "--max-perimeter", max_perimeter]
+        assert cli.main(argv) == 0
+        serial = capsys.readouterr().out
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli.main(argv + ["--threads", str(threads)]) == 0
+        assert capsys.readouterr().out == serial
+        assert sizes == ([] if pool_size is None else [pool_size])
+
+    def test_perimeters_taken_one_at_a_time(self, monkeypatch):
+        class FirstCall(Exception):
+            pass
+
+        def refuse(perimeter):
+            raise FirstCall(perimeter)
+
+        monkeypatch.setattr(cli, "_verify_perimeter", refuse)
+        with pytest.raises(FirstCall) as info:
+            cli.main(["verify", "--max-perimeter", "1000000000000"])
+        assert info.value.args == (4,)
+
+
 class TestEnumerate:
     def test_csv_matches_golden(self):
         result = run_cli("enumerate", "--perimeter", "8")
@@ -225,6 +280,17 @@ class TestRender:
             "render", "--base", "3", "--side", "4", "--area", "9", "--companion"
         )
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_canvas_past_float_range_is_one_line(self, capsys, flag):
+        code = cli.main(
+            ["render", "--base", "7", "--side", "6", "--area", "42", flag, "9" * 5000]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("amigram: error: canvas too large to draw")
+        assert captured.err.count("\n") == 1
 
 
 class TestCommonBehavior:
