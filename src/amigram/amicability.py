@@ -31,6 +31,7 @@ from .core import (
     HeronianError,
     Parallelogram,
     int_to_decimal,
+    rebind_frozen_slots,
     require_even_perimeter,
     slot_setters,
 )
@@ -57,6 +58,7 @@ class NotAmicable(HeronianError):
         self.reason = reason
 
 
+@rebind_frozen_slots
 @dataclass(frozen=True, slots=True)
 class Verdict:
     """Amicability decision with a machine-checkable reason.

@@ -24,12 +24,14 @@ from .core import (
     Parallelogram,
     ZeroDimension,
     int_to_decimal,
+    rebind_frozen_slots,
     require_even_perimeter,
 )
 
 CSV_HEADER = "short_side,long_side,area,perimeter,amicable,self_amicable"
 
 
+@rebind_frozen_slots
 @dataclass(frozen=True, slots=True)
 class CensusRow:
     """One canonical parallelogram with its amicability flags."""
@@ -59,6 +61,7 @@ class CensusRow:
         }
 
 
+@rebind_frozen_slots
 @dataclass(frozen=True, slots=True)
 class PerimeterCounts:
     """Census tallies for a single perimeter value.

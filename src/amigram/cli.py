@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: check, family, verify, enumerate, census, rectangles,
-witness, render.  Output goes to stdout unless -o is given, errors to
-stderr.  Exit codes: 0 = computed successfully (a "not amicable" verdict
-is a success), 1 = invalid input, 2 = a mathematical cross-check failed,
-which would mean a bug.
+witness, render.  Handlers check input, then return lines; main alone
+writes them, to stdout unless -o is given, errors to stderr.  Exit codes:
+0 = computed successfully (a "not amicable" verdict is a success),
+1 = invalid input, 2 = a mathematical cross-check failed (a bug).
 
 Standard output is a pure function of the arguments: fixed field order,
 LF line endings, no timestamps or locale-dependent formatting.
@@ -17,7 +17,9 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from contextlib import nullcontext
+from itertools import chain, islice
+from typing import Iterable, Sequence
 
 from .amicability import (
     classify,
@@ -27,6 +29,7 @@ from .amicability import (
 )
 from .census import (
     CSV_HEADER,
+    CensusRow,
     amicable_rectangle_pairs,
     census_rows,
     count_amicable,
@@ -87,23 +90,23 @@ def _verify_perimeter(perimeter: int) -> tuple[int, int, list[tuple[int, int]]]:
     return cells, agreements, disagreements
 
 
-def _cmd_check(args) -> tuple[int, str]:
+def _cmd_check(args) -> tuple[int, Iterable[str]]:
     if args.perimeter is not None and args.base is None and args.side is None:
         verdict = classify_invariants(args.area, args.perimeter)
     elif args.perimeter is None and args.base is not None and args.side is not None:
         verdict = classify(Parallelogram(args.base, args.side, args.area))
     else:
         raise HeronianError("give either --area/--perimeter or --base/--side/--area")
-    return 0, json.dumps(verdict.to_json_dict()) + "\n"
+    return 0, [json.dumps(verdict.to_json_dict())]
 
 
-def _cmd_family(args) -> tuple[int, str]:
+def _cmd_family(args) -> tuple[int, Iterable[str]]:
     rows = verify_family(args.start, args.stop)
-    text = "".join(json.dumps(row.to_json_dict()) + "\n" for row in rows)
-    return (0 if all(row.passed for row in rows) else 2), text
+    code = 0 if all(row.passed for row in rows) else 2
+    return code, (json.dumps(row.to_json_dict()) for row in rows)
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     require_even_perimeter(args.max_perimeter)
     perimeters = range(4, args.max_perimeter + 1, 2)
     # No more workers than cores or perimeters: a pool starts every worker
@@ -121,7 +124,7 @@ def _cmd_verify(args) -> tuple[int, str]:
     return _verify_report(args.max_perimeter, map(_verify_perimeter, perimeters))
 
 
-def _verify_report(max_perimeter: int, rows) -> tuple[int, str]:
+def _verify_report(max_perimeter: int, rows) -> tuple[int, list[str]]:
     """Exit code and report from the per-perimeter rows, taken in order
     and added up as they come."""
     cells = agreements = 0
@@ -130,54 +133,46 @@ def _verify_report(max_perimeter: int, rows) -> tuple[int, str]:
         cells += row_cells
         agreements += row_agreements
         disagreements.extend(row_disagreements)
-    lines = [
+    return (0 if not disagreements else 2), [
         f"max perimeter: {max_perimeter}",
         f"cells: {cells}",
         f"agreements: {agreements}",
         f"disagreements: {len(disagreements)}",
+        *(f"disagree: area={area} perimeter={perimeter}" for area, perimeter in disagreements),
     ]
-    lines.extend(
-        f"disagree: area={area} perimeter={perimeter}"
-        for area, perimeter in disagreements
-    )
-    return (0 if not disagreements else 2), "".join(line + "\n" for line in lines)
 
 
-def _cmd_enumerate(args) -> tuple[int, str]:
-    rows = census_rows(args.perimeter)
+def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
+    rows = census_rows(args.perimeter)  # checks the perimeter now
     if args.amicable_only:
         rows = (row for row in rows if row.amicable)
     if args.format == "csv":
-        text = CSV_HEADER + "\n" + "".join(row.to_csv() + "\n" for row in rows)
-    else:
-        text = "".join(json.dumps(row.to_json_dict()) + "\n" for row in rows)
-    return 0, text
+        return 0, chain([CSV_HEADER], map(CensusRow.to_csv, rows))
+    return 0, (json.dumps(row.to_json_dict()) for row in rows)
 
 
-def _cmd_census(args) -> tuple[int, str]:
+def _cmd_census(args) -> tuple[int, Iterable[str]]:
     table = count_amicable(args.max_perimeter)
-    lines = ["perimeter,total,amicable,self_amicable"]
-    lines.extend(
-        f"{c.perimeter},{c.total},{c.amicable},{c.self_amicable}" for c in table
+    return 0, chain(
+        ["perimeter,total,amicable,self_amicable"],
+        (f"{c.perimeter},{c.total},{c.amicable},{c.self_amicable}" for c in table),
     )
-    return 0, "".join(line + "\n" for line in lines)
 
 
-def _cmd_rectangles(args) -> tuple[int, str]:
-    pairs = amicable_rectangle_pairs()
-    ordered = [p for p in pairs if p.distinct] + [p for p in pairs if not p.distinct]
-    return 0, "".join(json.dumps(p.to_json_dict()) + "\n" for p in ordered)
+def _cmd_rectangles(args) -> tuple[int, Iterable[str]]:
+    ordered = sorted(amicable_rectangle_pairs(), key=lambda p: not p.distinct)  # distinct first
+    return 0, (json.dumps(p.to_json_dict()) for p in ordered)
 
 
-def _cmd_witness(args) -> tuple[int, str]:
+def _cmd_witness(args) -> tuple[int, Iterable[str]]:
     if args.area is not None:
         shape = non_amicable_witness_area(args.area)
     else:
         shape = non_amicable_witness_perimeter(args.perimeter)
-    return 0, json.dumps(shape.to_json_dict()) + "\n"
+    return 0, [json.dumps(shape.to_json_dict())]
 
 
-def _cmd_render(args) -> tuple[int, str]:
+def _cmd_render(args) -> tuple[int, Iterable[str]]:
     spec = RenderSpec(
         parallelogram=Parallelogram(args.base, args.side, args.area),
         include_companion=args.companion,
@@ -185,7 +180,7 @@ def _cmd_render(args) -> tuple[int, str]:
         height=args.height,
         margin=args.margin,
     )
-    return 0, render_svg(spec)
+    return 0, render_svg(spec).splitlines()
 
 
 @functools.cache
@@ -263,17 +258,22 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code, text = args.handler(args)
+        code, lines = args.handler(args)
+        lines = iter(lines)
+        with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as out:
+            # One write per 1024 lines: unbuffered stdout (python -u) makes each a system call.
+            while batch := list(islice(lines, 1024)):
+                out.write("\n".join(batch) + "\n")
+            out.flush()  # a closed pipe shows here, not at exit
     except HeronianError as exc:
         return _report(exc)
-    if args.output:
-        try:
-            with open(args.output, "w", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
+    except OSError as exc:
+        if args.output:
             return _report(f"cannot write {args.output}: {exc.strerror or exc}")
-    else:
-        sys.stdout.write(text)
+        if not isinstance(exc, BrokenPipeError):
+            raise
+        # The reader closed stdout (`| head`): stop quietly, last flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

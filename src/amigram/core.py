@@ -113,6 +113,24 @@ def slot_setters(cls: type) -> tuple:
     return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
 
 
+def rebind_frozen_slots(cls: type) -> type:
+    """Make a ``@dataclass(frozen=True, slots=True)`` refuse every assignment.
+
+    ``slots=True`` rebuilds the class, but the generated frozen
+    ``__setattr__`` and ``__delattr__`` still refer to the class from before,
+    so assigning or deleting a non-field attribute fails inside ``super()``
+    with a ``TypeError``.  Pointing their closure cells at the rebuilt class
+    makes them raise ``FrozenInstanceError``, as they do without slots.
+    Apply it above the ``@dataclass`` line.
+    """
+    for name in ("__setattr__", "__delattr__"):
+        for cell in cls.__dict__[name].__closure__ or ():
+            old = cell.cell_contents
+            if isinstance(old, type) and old.__qualname__ == cls.__qualname__:
+                cell.cell_contents = cls
+    return cls
+
+
 class CanonicalKey(NamedTuple):
     """Geometric identity of a parallelogram for counting purposes.
 
@@ -126,6 +144,7 @@ class CanonicalKey(NamedTuple):
     area: int
 
 
+@rebind_frozen_slots
 @dataclass(frozen=True, slots=True)
 class Parallelogram:
     """A Heronian parallelogram, stored as (base, side, area).

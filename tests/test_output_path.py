@@ -1,0 +1,104 @@
+"""Every report leaves through one write loop in ``cli.main``.
+
+Handlers return lines and ``main`` writes them as they are produced, so a
+long listing never exists in memory as a whole.  Input is checked before the
+first line, so a refusal writes nothing and creates no ``-o`` file, and a
+reader that closes the pipe early ends the run quietly.
+"""
+
+import io
+import os
+import subprocess
+import sys
+import tracemalloc
+from contextlib import redirect_stdout
+
+import pytest
+
+import amigram.cli as cli
+
+
+class _Discard(io.TextIOBase):
+    """A text sink that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+# Perimeters whose reports run to 2.2 MB (CSV) and 3.4 MB (JSONL).
+@pytest.mark.parametrize("fmt,perimeter", [("csv", "200"), ("jsonl", "140")])
+def test_enumerate_streams_at_flat_memory(fmt, perimeter):
+    argv = ["enumerate", "--perimeter", perimeter, "--format", fmt]
+    with redirect_stdout(_Discard()):  # parser, imports and caches first
+        assert cli.main(["enumerate", "--perimeter", "8", "--format", fmt]) == 0
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 2_000_000  # the report is megabytes long
+    assert peak < 1_000_000
+
+
+REJECTED = [
+    ["enumerate", "--perimeter", "7"],
+    ["census", "--max-perimeter", "7"],
+    ["family", "--from", "10", "--to", "5"],
+    ["check", "--area", "1000000000", "--perimeter", "26"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+def test_rejection_writes_nothing(argv, tmp_path, capsys):
+    target = tmp_path / "out"
+    assert cli.main([*argv, "-o", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("amigram: error: ")
+    assert captured.err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_closed_pipe_ends_quietly(fmt):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "amigram", "enumerate", "--perimeter", "200", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_short_report_into_a_closed_pipe_ends_quietly(unbuffered):
+    # The whole report fits in stdout's buffer, so with buffering the
+    # closed pipe shows only when it is flushed.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "amigram", "check", "--area", "42", "--perimeter", "26"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0
+    assert result.stderr == b""

@@ -5,7 +5,9 @@ descriptors in hand-written constructors.  They must still behave exactly
 like frozen dataclasses: assignment refused, no instance ``__dict__``, and
 equality, hashing, repr, tuples, pickling and copying as a plain
 ``@dataclass(frozen=True)`` with the same fields gives.  Every rejection
-keeps its exception class and its message text.
+keeps its exception class and its message text.  These two and the census
+rows and tallies, all slots dataclasses, refuse any attribute with
+``FrozenInstanceError``, field or not.
 """
 
 import copy
@@ -18,8 +20,10 @@ from hypothesis import strategies as st
 
 from amigram import (
     AreaOutOfRange,
+    CensusRow,
     NonIntegerDimension,
     Parallelogram,
+    PerimeterCounts,
     Reason,
     Verdict,
     ZeroDimension,
@@ -169,3 +173,23 @@ def test_verdict_accepts_exactly_the_consistent_triples(amicable, reason, compan
     else:
         with pytest.raises(ValueError):
             Verdict(amicable, reason, companion)
+
+
+FROZEN_SLOTS = SAMPLES + [
+    CensusRow(6, 7, 42, 26, True, False),
+    PerimeterCounts(26, 42, 11, 1),
+]
+
+
+@pytest.mark.parametrize("value", FROZEN_SLOTS, ids=repr)
+def test_every_other_attribute_refuses_assignment_and_deletion(value):
+    # A plain frozen dataclass refuses any name with FrozenInstanceError;
+    # the slots classes must too, not fail inside super() with a TypeError.
+    plain = dataclasses.make_dataclass("Plain", ["x"], frozen=True)(1)
+    for action in (lambda obj: setattr(obj, "extra", 1), lambda obj: delattr(obj, "extra")):
+        with pytest.raises(dataclasses.FrozenInstanceError) as expected:
+            action(plain)
+        with pytest.raises(dataclasses.FrozenInstanceError) as info:
+            action(value)
+        assert str(info.value) == str(expected.value)
+    assert not hasattr(value, "extra")
