@@ -15,9 +15,12 @@ trusting the closed forms.
 Indexing: F(0) = 0, F(1) = 1 and L(0) = 2, L(1) = 1.
 
 :func:`fib` and :func:`lucas` use fast doubling (Knuth, TAOCP vol. 1,
-section 1.2.8), O(log n) multiplications each.  They run separate doubling
-recurrences, so the check F(n) * L(n) = F(2n) in :func:`verify_family`
-plays one against the other.  :func:`fib_iterative` and
+section 1.2.8), O(log n) multiplications each, and :func:`family_pair`
+builds every entry from three doubling passes.  :func:`verify_family`
+re-derives its check values by another route: it seeds F(n), L(n) and
+F(2n-2) with their successors once per range and steps them by the
+defining recurrences, so from the second index of a range on, no check
+reuses a value the entry was built from.  :func:`fib_iterative` and
 :func:`lucas_iterative` keep the n-step loops as their test oracles.
 """
 
@@ -33,24 +36,44 @@ class IndexTooSmall(HeronianError):
     """Family index below 4, where the partner's area bound breaks down."""
 
 
-def _negative_index(n: int) -> HeronianError:
-    return HeronianError(f"index must be non-negative, got {int_to_decimal(n)}")
+def _require_int(n: object) -> None:
+    """Refuse an index that is not a plain int; like a ``Parallelogram``
+    dimension, a bool or other int subclass is refused too."""
+    if type(n) is not int:
+        raise HeronianError(f"index must be an int, got {type(n).__name__}")
 
 
-def fib(n: int) -> int:
-    """The nth Fibonacci number, F(0) = 0, F(1) = 1.
+def _require_index(n: object) -> None:
+    """Refuse an index that is not a non-negative plain int."""
+    _require_int(n)
+    if n < 0:
+        raise HeronianError(f"index must be non-negative, got {int_to_decimal(n)}")
+
+
+def _require_family_index(n: object) -> None:
+    _require_int(n)
+    if n <= 3:
+        raise IndexTooSmall(f"family is defined for n >= 4, got {int_to_decimal(n)}")
+
+
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) for n >= 0, by fast doubling.
 
     Walks the bits of n from the top, keeping (F(k), F(k+1)) and doubling k
     with F(2k) = F(k)*(2F(k+1) - F(k)) and F(2k+1) = F(k)^2 + F(k+1)^2.
     """
-    if n < 0:
-        raise _negative_index(n)
     a, b = 0, 1
     for bit in bin(n)[2:]:
         a, b = a * (2 * b - a), a * a + b * b
         if bit == "1":
             a, b = b, a + b
-    return a
+    return a, b
+
+
+def fib(n: int) -> int:
+    """The nth Fibonacci number, F(0) = 0, F(1) = 1, by fast doubling."""
+    _require_index(n)
+    return _fib_pair(n)[0]
 
 
 def lucas(n: int) -> int:
@@ -59,8 +82,7 @@ def lucas(n: int) -> int:
     Walks the bits of n from the top, keeping (L(k), L(k+1)) and doubling k
     with L(2k) = L(k)^2 - 2(-1)^k and L(2k+1) = L(k)L(k+1) - (-1)^k.
     """
-    if n < 0:
-        raise _negative_index(n)
+    _require_index(n)
     a, b, sign = 2, 1, 1  # sign = (-1)^k
     for bit in bin(n)[2:]:
         a, b = a * a - 2 * sign, a * b - sign
@@ -72,8 +94,7 @@ def lucas(n: int) -> int:
 
 def fib_iterative(n: int) -> int:
     """F(n) by n additions; the oracle for :func:`fib`."""
-    if n < 0:
-        raise _negative_index(n)
+    _require_index(n)
     a, b = 0, 1
     for _ in range(n):
         a, b = b, a + b
@@ -82,8 +103,7 @@ def fib_iterative(n: int) -> int:
 
 def lucas_iterative(n: int) -> int:
     """L(n) by n additions; the oracle for :func:`lucas`."""
-    if n < 0:
-        raise _negative_index(n)
+    _require_index(n)
     a, b = 2, 1
     for _ in range(n):
         a, b = b, a + b
@@ -122,29 +142,43 @@ class FamilyReportRow:
 def family_pair(n: int) -> FamilyEntry:
     """The amicable pair at index n >= 4.
 
-    Both members go through the validating constructors, so the partner's
-    existence bound is enforced rather than assumed.
+    Three doubling passes: (F(n), F(n+1)), which give F(n+3) = F(n) +
+    2F(n+1); L(n); and (F(2n-2), F(2n-1)).  Both members go through the
+    validating constructors, so the partner's existence bound is enforced
+    rather than assumed.
     """
-    if n <= 3:
-        raise IndexTooSmall(f"family is defined for n >= 4, got {int_to_decimal(n)}")
-    rectangle = Parallelogram(lucas(n), 2 * fib(n), 2 * fib(n) * lucas(n))
-    partner = Parallelogram(fib(2 * n - 2), fib(2 * n - 1), 2 * fib(n + 3))
+    _require_family_index(n)
+    f, f1 = _fib_pair(n)
+    ell = lucas(n)
+    base, side = _fib_pair(2 * n - 2)
+    rectangle = Parallelogram(ell, 2 * f, 2 * f * ell)
+    partner = Parallelogram(base, side, 2 * (f + 2 * f1))
     return FamilyEntry(n, rectangle, partner)
 
 
 def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
-    """Re-check the family from scratch for each n in [start, stop].
+    """Re-check the family for each n in [start, stop].
 
     Per index: the two cross equalities hold, both members pass the
     closed-form amicability test, F(n)*L(n) = F(2n), and the partner's
-    area fits under base*side.  Nothing is taken from the construction
-    formulas; every quantity is recomputed exactly.
+    area fits under base*side.  The last two checks take F(n), L(n) and
+    F(2n-2) from the defining recurrences, each seeded with its successor
+    by doubling once at n = start and then stepped by addition (by one
+    index for F(n) and L(n), by two for F(2n-2)); every entry is still
+    built by :func:`family_pair`, so the checks play one route against
+    the other.
     """
+    _require_int(start)
+    _require_int(stop)
     if stop < start:
         raise HeronianError(
             f"empty range: stop {int_to_decimal(stop)} is below "
             f"start {int_to_decimal(start)}"
         )
+    _require_family_index(start)
+    f, f1 = _fib_pair(start)  # F(n), F(n+1)
+    ell, ell1 = lucas(start), lucas(start + 1)  # L(n), L(n+1)
+    g, g1 = _fib_pair(2 * start - 2)  # F(2n-2), F(2n-1)
     rows = []
     for n in range(start, stop + 1):
         entry = family_pair(n)
@@ -152,8 +186,11 @@ def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
             "pair": verify_pair(entry.rectangle, entry.partner),
             "amicable_h": is_amicable(entry.rectangle),
             "amicable_c": is_amicable(entry.partner),
-            "identity": fib(n) * lucas(n) == fib(2 * n),
-            "existence_bound": 2 * fib(n + 3) <= fib(2 * n - 1) * fib(2 * n - 2),
+            "identity": f * ell == g + g1,
+            "existence_bound": 2 * (f + 2 * f1) <= g1 * g,
         }
         rows.append(FamilyReportRow(entry, checks))
+        f, f1 = f1, f + f1
+        ell, ell1 = ell1, ell + ell1
+        g, g1 = g + g1, g + 2 * g1  # F(2n), F(2n+1)
     return rows

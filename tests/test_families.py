@@ -1,10 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amigram import (
+    FamilyEntry,
+    HeronianError,
     IndexTooSmall,
     Parallelogram,
+    cli,
+    families,
     family_pair,
     fib,
     is_amicable,
@@ -12,6 +18,7 @@ from amigram import (
     verify_family,
     verify_pair,
 )
+from amigram.families import fib_iterative, lucas_iterative
 
 # frozen initial segments, from the defining recurrences
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
@@ -136,3 +143,107 @@ class TestVerifyFamily:
             "identity": True,
             "existence_bound": True,
         }
+
+
+def reference_entry(n):
+    """The entry at index n, from the n-step oracles alone."""
+    f, ell = fib_iterative(n), lucas_iterative(n)
+    return FamilyEntry(
+        n,
+        Parallelogram(ell, 2 * f, 2 * f * ell),
+        Parallelogram(fib_iterative(2 * n - 2), fib_iterative(2 * n - 1), 2 * fib_iterative(n + 3)),
+    )
+
+
+ALL_PASS = dict.fromkeys(
+    ["pair", "amicable_h", "amicable_c", "identity", "existence_bound"], True
+)
+
+
+@st.composite
+def family_ranges(draw):
+    start = draw(st.integers(4, 400))
+    return start, draw(st.integers(start, start + 40))
+
+
+class TestRowsAgainstTheOracles:
+    """Every row equals one built from ``fib_iterative``/``lucas_iterative``:
+    the seeded recurrences in ``verify_family`` stay in step with the
+    doubling construction at every index of a range."""
+
+    @staticmethod
+    def check(start, stop):
+        rows = verify_family(start, stop)
+        assert [row.entry.n for row in rows] == list(range(start, stop + 1))
+        for row in rows:
+            assert row.entry == reference_entry(row.entry.n)
+            assert row.checks == ALL_PASS
+
+    @settings(max_examples=40, deadline=None)
+    @given(family_ranges())
+    def test_small_ranges(self, bounds):
+        self.check(*bounds)
+
+    def test_range_past_the_str_digit_limit(self):
+        self.check(11000, 11003)
+
+
+def corrupt_at(monkeypatch, name, index):
+    """Make ``families.<name>`` off by one at ``index`` only."""
+    real = getattr(families, name)
+
+    def corrupted(n):
+        value = real(n)
+        if n != index:
+            return value
+        if name == "lucas":
+            return value + 1
+        return value[0] + 1, value[1]
+
+    monkeypatch.setattr(families, name, corrupted)
+
+
+class TestCorruptedValuesAreCaught:
+    START, STOP = 10, 20
+
+    @pytest.mark.parametrize("name", ["lucas", "_fib_pair"])
+    @pytest.mark.parametrize("offset", [0, 5], ids=["first", "middle"])
+    def test_row_fails_and_cli_exits_2(self, monkeypatch, capsys, name, offset):
+        index = self.START + offset
+        corrupt_at(monkeypatch, name, index)
+        rows = verify_family(self.START, self.STOP)
+        if offset == 0:
+            # The seeds come from the corrupted function too.
+            assert not rows[0].checks["identity"]
+        else:
+            # Past the seeds only the entry is wrong: the cross equality
+            # catches it, the stepped values do not share the error, and
+            # no other row is touched.
+            assert rows[offset].checks == {**ALL_PASS, "pair": False}
+            assert [row.passed for row in rows] == [
+                n != index for n in range(self.START, self.STOP + 1)
+            ]
+        code = cli.main(["family", "--from", str(self.START), "--to", str(self.STOP)])
+        assert code == 2
+        assert len(capsys.readouterr().out.splitlines()) == self.STOP - self.START + 1
+
+
+class TestRangeErrorsComeFirst:
+    """Bad ranges raise before any seed is computed, with the same error
+    class and message as a per-index check would give."""
+
+    @pytest.mark.parametrize(
+        "start, stop, error, message",
+        [
+            (3, 5, IndexTooSmall, "family is defined for n >= 4, got 3"),
+            (0, 4, IndexTooSmall, "family is defined for n >= 4, got 0"),
+            (-(10**5000), 4, IndexTooSmall, "family is defined for n >= 4, got -1" + "0" * 5000),
+            (5, 4, HeronianError, "empty range: stop 4 is below start 5"),
+        ],
+        ids=["three", "zero", "huge_negative", "empty"],
+    )
+    def test_error(self, start, stop, error, message):
+        with pytest.raises(HeronianError) as exc:
+            verify_family(start, stop)
+        assert type(exc.value) is error
+        assert str(exc.value) == message

@@ -157,6 +157,26 @@ class TestBigIntegerMessages:
         assert int_to_decimal(-HUGE) in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: fib(n),
+        lambda n: lucas(n),
+        lambda n: fib_iterative(n),
+        lambda n: lucas_iterative(n),
+        lambda n: family_pair(n),
+        lambda n: verify_family(n, 6),
+        lambda n: verify_family(4, n),
+    ],
+    ids=["fib", "lucas", "fib_iterative", "lucas_iterative", "family_pair",
+         "verify_family_start", "verify_family_stop"],
+)
+@pytest.mark.parametrize("index", [2.5, 5.0, "5", True, None], ids=repr)
+def test_index_must_be_a_plain_int(call, index):
+    with pytest.raises(HeronianError, match="^index must be an int, got "):
+        call(index)
+
+
 @pytest.mark.parametrize("data", [[1], None, "x"], ids=repr)
 def test_from_json_dict_needs_a_mapping(data):
     with pytest.raises(HeronianError):
