@@ -17,8 +17,10 @@ bases that work form one interval around the peak, which
 :func:`companion_exists_bruteforce` runs the same existence question as a
 literal exhaustive scan over every candidate base, deliberately ignoring the
 closed form, so the two routes can be played against each other on any
-finite grid.  Likewise :func:`companion_bases_exhaustive` is the literal
-scan that :func:`companion_base_range` replaces; it stays as the oracle.
+finite grid.  :func:`companion_scan` is that scan for a perimeter already
+checked, so a grid row checks its perimeter once, not once per cell.
+Likewise :func:`companion_bases_exhaustive` is the literal scan that
+:func:`companion_base_range` replaces; it stays as the oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .core import (
     int_to_decimal,
     rebind_frozen_slots,
     require_even_perimeter,
+    require_int,
     slot_setters,
 )
 
@@ -101,11 +104,14 @@ def decide(area: int, perimeter: int) -> Reason:
     """The closed form, decided in one place: ODD_AREA, BOUND_FAIL or OK.
 
     Pure integer arithmetic: area even and area^2 >= 16*perimeter.  Raises
-    :class:`InvalidPerimeter` for perimeters no parallelogram can have; it
+    :class:`InvalidPerimeter` for perimeters no parallelogram can have and
+    :class:`NonIntegerDimension` for an argument that is not an int; it
     does not check that some shape has this area and perimeter (see
     :func:`exists_heronian_with`).
     """
     require_even_perimeter(perimeter)
+    if type(area) is not int:  # tested inline, as it runs once per grid cell
+        require_int(area, "area")
     if area % 2:
         return _ODD_AREA
     if area * area < 16 * perimeter:
@@ -202,18 +208,32 @@ def verify_pair(first: Parallelogram, second: Parallelogram) -> bool:
 def companion_exists_bruteforce(area: int, perimeter: int) -> bool:
     """Exhaustive companion search, independent of the closed form.
 
-    Scans every integer base b in [1, area/2 - 1]; the matching side is
-    area/2 - b and the companion needs area ``perimeter``, which fits iff
-    b*(area/2 - b) >= perimeter.  Odd areas fail outright because the
-    companion's perimeter 2*(b + u) is always even.
+    Checks both arguments, then runs :func:`companion_scan`.
     """
+    if type(area) is not int:
+        require_int(area, "area")
     require_even_perimeter(perimeter)
+    return companion_scan(area, perimeter)
+
+
+def companion_scan(area: int, perimeter: int) -> bool:
+    """The literal base scan, for an int area and a checked perimeter.
+
+    Tries every integer base b = 1, 2, ..., area/2 - 1 in order; the
+    matching side is area/2 - b and the companion needs area ``perimeter``,
+    which fits iff b*(area/2 - b) >= perimeter.  Odd areas fail outright
+    because the companion's perimeter 2*(b + u) is always even.  Steps b
+    by hand: most even cells fit at b = 1, where building a ``range``
+    would cost more than the scan.
+    """
     if area % 2:
         return False
     half = area // 2
-    for b in range(1, half):
+    b = 1
+    while b < half:
         if b * (half - b) >= perimeter:
             return True
+        b += 1
     return False
 
 
@@ -243,6 +263,7 @@ def companion_bases_exhaustive(area: int, perimeter: int) -> list[int]:
 
     The O(area) oracle for :func:`companion_base_range`.
     """
+    require_int(area, "area")
     require_even_perimeter(perimeter)
     if area % 2:
         return []
@@ -268,8 +289,12 @@ def exists_heronian_with(area: int, perimeter: int) -> bool:
     """Is any Heronian parallelogram with this area and perimeter possible?
 
     Needs an even perimeter >= 4 and area at most the largest product of
-    two sides summing to perimeter/2, i.e. floor(P/4)*ceil(P/4).
+    two sides summing to perimeter/2, i.e. floor(P/4)*ceil(P/4).  Raises
+    :class:`NonIntegerDimension` for an argument that is not an int.
     """
+    if type(area) is not int or type(perimeter) is not int:
+        require_int(area, "area")
+        require_int(perimeter, "perimeter")
     if perimeter < 4 or perimeter % 2:
         return False
     half = perimeter // 2

@@ -26,6 +26,7 @@ from .core import (
     int_to_decimal,
     rebind_frozen_slots,
     require_even_perimeter,
+    require_int,
 )
 
 CSV_HEADER = "short_side,long_side,area,perimeter,amicable,self_amicable"
@@ -97,6 +98,7 @@ class RectanglePair:
 
 
 def _require_positive_area(area: int) -> None:
+    require_int(area, "area")
     if area < 1:
         raise ZeroDimension(f"area must be positive, got {int_to_decimal(area)}")
 
@@ -248,7 +250,7 @@ def amicable_rectangle_pairs(max_side: int = 1000) -> list[RectanglePair]:
     default bound is generous: back-substitution keeps the longer sides far
     below 1000, and raising the bound is expected to change nothing.
     """
-    return _rectangle_pairs(min(max_side, _MAX_SHORT_SIDE), max_side)
+    return _rectangle_pairs(_MAX_SHORT_SIDE, max_side)
 
 
 def amicable_rectangle_pairs_exhaustive(max_side: int = 1000) -> list[RectanglePair]:
@@ -259,8 +261,9 @@ def amicable_rectangle_pairs_exhaustive(max_side: int = 1000) -> list[RectangleP
 
 def _rectangle_pairs(max_short: int, max_side: int) -> list[RectanglePair]:
     """Pairs found from first members a x b, a <= max_short, a <= b <= max_side."""
+    require_int(max_side, "max_side")
     found: dict[tuple, RectanglePair] = {}
-    for a in range(1, max_short + 1):
+    for a in range(1, min(max_short, max_side) + 1):
         for b in range(a, max_side + 1):
             if (a * b) % 2:
                 continue

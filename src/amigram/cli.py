@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .amicability import (
     classify,
     classify_invariants,
-    companion_exists_bruteforce,
+    companion_scan,
     is_amicable_invariants,
 )
 from .census import (
@@ -73,17 +73,18 @@ def _positive_int(text: str) -> int:
 
 
 def _verify_perimeter(perimeter: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """Grid row for one perimeter: (cells, agreements, disagreeing areas)."""
+    """Grid row for one perimeter: (cells, agreements, disagreeing areas).
+
+    The perimeter is checked once here, so each cell runs the bare
+    brute-force scan against the closed form.
+    """
+    require_even_perimeter(perimeter)
     half = perimeter // 2
-    max_area = (half // 2) * ((half + 1) // 2)
-    cells = 0
+    cells = (half // 2) * ((half + 1) // 2)
     agreements = 0
     disagreements = []
-    for area in range(1, max_area + 1):
-        cells += 1
-        if is_amicable_invariants(area, perimeter) == companion_exists_bruteforce(
-            area, perimeter
-        ):
+    for area in range(1, cells + 1):
+        if is_amicable_invariants(area, perimeter) == companion_scan(area, perimeter):
             agreements += 1
         else:
             disagreements.append((area, perimeter))

@@ -28,7 +28,8 @@ class HeronianError(ValueError):
 
 
 class NonIntegerDimension(HeronianError):
-    """A base, side, or area that is not a plain ``int`` (bools included)."""
+    """A base, side, area, perimeter or index that is not a plain ``int``
+    (bools included)."""
 
 
 class ZeroDimension(HeronianError):
@@ -323,8 +324,18 @@ def _fraction_to_decimal(value: Fraction) -> str:
     return f"{int_to_decimal(value.numerator)}/{int_to_decimal(value.denominator)}"
 
 
+def require_int(value: object, name: str) -> None:
+    """Refuse a value that is not a plain int; like a ``Parallelogram``
+    dimension, a bool or other int subclass is refused too."""
+    if type(value) is not int:
+        raise NonIntegerDimension(f"{name} must be an int, got {type(value).__name__}")
+
+
 def require_even_perimeter(perimeter: int) -> None:
-    """Reject perimeters no parallelogram can have (odd, or below 4)."""
+    """Reject perimeters no parallelogram can have (not an int, odd, or
+    below 4)."""
+    if type(perimeter) is not int:  # tested inline, as it runs once per grid cell
+        require_int(perimeter, "perimeter")
     if perimeter < 4 or perimeter % 2:
         raise InvalidPerimeter(
             f"perimeter must be an even integer >= 4, got {int_to_decimal(perimeter)}"

@@ -29,29 +29,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .amicability import is_amicable, verify_pair
-from .core import HeronianError, Parallelogram, int_to_decimal
+from .core import HeronianError, Parallelogram, int_to_decimal, require_int
 
 
 class IndexTooSmall(HeronianError):
     """Family index below 4, where the partner's area bound breaks down."""
 
 
-def _require_int(n: object) -> None:
-    """Refuse an index that is not a plain int; like a ``Parallelogram``
-    dimension, a bool or other int subclass is refused too."""
-    if type(n) is not int:
-        raise HeronianError(f"index must be an int, got {type(n).__name__}")
-
-
 def _require_index(n: object) -> None:
     """Refuse an index that is not a non-negative plain int."""
-    _require_int(n)
+    require_int(n, "index")
     if n < 0:
         raise HeronianError(f"index must be non-negative, got {int_to_decimal(n)}")
 
 
 def _require_family_index(n: object) -> None:
-    _require_int(n)
+    require_int(n, "index")
     if n <= 3:
         raise IndexTooSmall(f"family is defined for n >= 4, got {int_to_decimal(n)}")
 
@@ -168,8 +161,8 @@ def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
     built by :func:`family_pair`, so the checks play one route against
     the other.
     """
-    _require_int(start)
-    _require_int(stop)
+    require_int(start, "index")
+    require_int(stop, "index")
     if stop < start:
         raise HeronianError(
             f"empty range: stop {int_to_decimal(stop)} is below "

@@ -5,8 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from amigram import FamilyEntry, Parallelogram, fib, int_to_decimal
+from amigram import (
+    FamilyEntry,
+    InvalidPerimeter,
+    Parallelogram,
+    companion_exists_bruteforce,
+    fib,
+    int_to_decimal,
+    is_amicable_invariants,
+)
 from amigram.families import FamilyReportRow
+import amigram.amicability as amicability
 import amigram.cli as cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -180,6 +189,57 @@ class TestVerify:
         with pytest.raises(FirstCall) as info:
             cli.main(["verify", "--max-perimeter", "1000000000000"])
         assert info.value.args == (4,)
+
+    def test_bruteforce_side_never_consults_the_closed_form(self, monkeypatch, capsys):
+        def refuse(area, perimeter):
+            raise AssertionError("the brute-force side must not call decide")
+
+        monkeypatch.setattr(amicability, "decide", refuse)
+        monkeypatch.setattr(
+            cli,
+            "is_amicable_invariants",
+            lambda area, perimeter: area % 2 == 0 and area * area >= 16 * perimeter,
+        )
+        assert cli.main(["verify", "--max-perimeter", "40"]) == 0
+        assert capsys.readouterr().out == (
+            "max perimeter: 40\ncells: 715\nagreements: 715\ndisagreements: 0\n"
+        )
+
+    def test_injected_bruteforce_lie_exits_2(self, monkeypatch, capsys):
+        real = cli.companion_scan
+
+        def liar(area, perimeter):
+            if (area, perimeter) == (4, 8):
+                return True
+            return real(area, perimeter)
+
+        monkeypatch.setattr(cli, "companion_scan", liar)
+        code = cli.main(["verify", "--max-perimeter", "8"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "disagreements: 1" in out
+        assert "disagree: area=4 perimeter=8" in out
+
+    @pytest.mark.parametrize("perimeter", [7, 2])
+    def test_row_refuses_impossible_perimeter(self, perimeter):
+        with pytest.raises(InvalidPerimeter):
+            cli._verify_perimeter(perimeter)
+
+    def test_row_matches_the_public_routes(self):
+        for perimeter in range(4, 121, 2):
+            half = perimeter // 2
+            areas = range(1, (half // 2) * ((half + 1) // 2) + 1)
+            disagreements = [
+                (area, perimeter)
+                for area in areas
+                if is_amicable_invariants(area, perimeter)
+                != companion_exists_bruteforce(area, perimeter)
+            ]
+            assert cli._verify_perimeter(perimeter) == (
+                len(areas),
+                len(areas) - len(disagreements),
+                disagreements,
+            )
 
 
 class TestEnumerate:

@@ -7,10 +7,28 @@ import pytest
 from amigram import (
     HeronianError,
     NonIntegerArea,
+    NonIntegerDimension,
     Parallelogram,
     SideTooShort,
     ZeroDimension,
+    classify_invariants,
+    companion_base_range,
+    companion_bases_exhaustive,
+    companion_exists_bruteforce,
+    companion_from_invariants,
+    decide,
+    enumerate_by_area,
+    enumerate_by_perimeter,
+    exists_heronian_with,
     int_to_decimal,
+    is_amicable_invariants,
+    non_amicable_witness_area,
+    non_amicable_witness_perimeter,
+)
+from amigram.census import (
+    amicable_rectangle_pairs,
+    amicable_rectangle_pairs_exhaustive,
+    count_amicable,
 )
 
 SHAPE = {"base": "8", "side": "13", "area": "26"}
@@ -91,3 +109,37 @@ class TestBigIntegerMessages:
         with pytest.raises(error) as exc:
             Parallelogram.from_base_height_side(*args)
         assert str(exc.value) == message
+
+
+class TestNonIntInvariants:
+    """Every (area, perimeter) entry point refuses a non-int argument, bools
+    included, before it can give a verdict or fail with a bare TypeError."""
+
+    @pytest.mark.parametrize(
+        "function,args",
+        [
+            (decide, (42.5, 26)),
+            (decide, (42, "26")),
+            (decide, (True, 26)),
+            (is_amicable_invariants, (42.0, 26.0)),
+            (classify_invariants, (42.0, 26)),
+            (companion_from_invariants, (42, 26.0)),
+            (companion_exists_bruteforce, (42, 26.0)),
+            (companion_exists_bruteforce, (42.0, 26)),
+            (companion_bases_exhaustive, (42.0, 26)),
+            (companion_base_range, (42, 26.0)),
+            (exists_heronian_with, ("42", 26)),
+            (exists_heronian_with, (42, True)),
+            (count_amicable, (8.0,)),
+            (enumerate_by_perimeter, (8.0,)),
+            (enumerate_by_area, (4.0, 8)),
+            (non_amicable_witness_area, (4.0,)),
+            (non_amicable_witness_perimeter, (False,)),
+            (amicable_rectangle_pairs, (2.5,)),
+            (amicable_rectangle_pairs_exhaustive, ("16",)),
+        ],
+        ids=lambda value: getattr(value, "__name__", repr(value)),
+    )
+    def test_refused(self, function, args):
+        with pytest.raises(NonIntegerDimension, match=r"must be an int, got \w+$"):
+            function(*args)
