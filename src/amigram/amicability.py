@@ -14,6 +14,13 @@ which is how :func:`companion_from_invariants` builds its witness.  The
 bases that work form one interval around the peak, which
 :func:`companion_base_range` finds with an integer square root.
 
+:func:`closed_form` is the one place that rule is written, for data already
+checked.  :func:`decide` is its checked entry: it refuses a bad area or
+perimeter, then returns the rule.  Routes on checked data call the rule
+directly: :func:`classify` and :func:`is_amicable`, whose shape the
+``Parallelogram`` constructor validated, and :func:`classify_invariants`
+once :func:`exists_heronian_with` has passed both arguments.
+
 :func:`companion_exists_bruteforce` runs the same existence question as a
 literal exhaustive scan over every candidate base, deliberately ignoring the
 closed form, so the two routes can be played against each other on any
@@ -100,23 +107,33 @@ class Verdict:
 _set_amicable, _set_reason, _set_companion = slot_setters(Verdict)
 
 
-def decide(area: int, perimeter: int) -> Reason:
-    """The closed form, decided in one place: ODD_AREA, BOUND_FAIL or OK.
+def closed_form(area: int, perimeter: int) -> Reason:
+    """The closed form, written in one place: ODD_AREA, BOUND_FAIL or OK.
 
-    Pure integer arithmetic: area even and area^2 >= 16*perimeter.  Raises
-    :class:`InvalidPerimeter` for perimeters no parallelogram can have and
-    :class:`NonIntegerDimension` for an argument that is not an int; it
-    does not check that some shape has this area and perimeter (see
-    :func:`exists_heronian_with`).
+    Pure integer arithmetic: area even and area^2 >= 16*perimeter.  Checks
+    nothing: the area must be an int and the perimeter an even int >= 4,
+    as :func:`decide` makes sure.
     """
-    require_even_perimeter(perimeter)
-    if type(area) is not int:  # tested inline, as it runs once per grid cell
-        require_int(area, "area")
     if area % 2:
         return _ODD_AREA
     if area * area < 16 * perimeter:
         return _BOUND_FAIL
     return _OK
+
+
+def decide(area: int, perimeter: int) -> Reason:
+    """The closed form on unchecked data: checks both arguments, then
+    returns :func:`closed_form`.
+
+    Raises :class:`InvalidPerimeter` for perimeters no parallelogram can
+    have and :class:`NonIntegerDimension` for an argument that is not an
+    int; it does not check that some shape has this area and perimeter
+    (see :func:`exists_heronian_with`).
+    """
+    require_even_perimeter(perimeter)
+    if type(area) is not int:  # tested inline, as it runs once per grid cell
+        require_int(area, "area")
+    return closed_form(area, perimeter)
 
 
 def is_amicable_invariants(area: int, perimeter: int) -> bool:
@@ -125,8 +142,11 @@ def is_amicable_invariants(area: int, perimeter: int) -> bool:
 
 
 def is_amicable(shape: Parallelogram) -> bool:
-    """True iff the parallelogram belongs to an amicable pair."""
-    return is_amicable_invariants(shape.area, shape.perimeter)
+    """True iff the parallelogram belongs to an amicable pair.
+
+    The constructor has checked the shape, so this runs the bare rule.
+    """
+    return closed_form(shape.area, shape.perimeter) is _OK
 
 
 # Refusals carry no companion, so one verdict per reason serves every call.
@@ -135,7 +155,8 @@ _BOUND_FAIL_VERDICT = Verdict(False, _BOUND_FAIL, None)
 
 
 def _verdict(area: int, perimeter: int) -> Verdict:
-    reason = decide(area, perimeter)
+    """Verdict for an int area and a checked perimeter."""
+    reason = closed_form(area, perimeter)
     if reason is _OK:
         return Verdict(True, _OK, _build_companion(area, perimeter))
     return _ODD_AREA_VERDICT if reason is _ODD_AREA else _BOUND_FAIL_VERDICT
@@ -153,11 +174,15 @@ def classify_invariants(area: int, perimeter: int) -> Verdict:
             f"no Heronian parallelogram has area {int_to_decimal(area)} "
             f"and perimeter {int_to_decimal(perimeter)}"
         )
+    # exists_heronian_with has passed an int area and an even perimeter >= 4.
     return _verdict(area, perimeter)
 
 
 def classify(shape: Parallelogram) -> Verdict:
-    """Full verdict for a parallelogram, companion included."""
+    """Full verdict for a parallelogram, companion included.
+
+    The constructor has checked the shape, so this runs the bare rule.
+    """
     return _verdict(shape.area, shape.perimeter)
 
 

@@ -19,7 +19,7 @@ from itertools import count
 from math import isqrt
 from typing import Iterator
 
-from .amicability import is_amicable_invariants, is_self_amicable
+from .amicability import Reason, closed_form, is_amicable_invariants, is_self_amicable
 from .core import (
     Parallelogram,
     ZeroDimension,
@@ -30,6 +30,7 @@ from .core import (
 )
 
 CSV_HEADER = "short_side,long_side,area,perimeter,amicable,self_amicable"
+_OK = Reason.OK
 
 
 @rebind_frozen_slots
@@ -140,13 +141,16 @@ def _shapes_with_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
 
 
 def census_row(shape: Parallelogram) -> CensusRow:
+    # The constructor has checked the shape, so the bare rule decides it.
     key = shape.canonical_key
+    area = shape.area
+    perimeter = shape.perimeter
     return CensusRow(
         key.short_side,
         key.long_side,
-        shape.area,
-        shape.perimeter,
-        is_amicable_invariants(shape.area, shape.perimeter),
+        area,
+        perimeter,
+        closed_form(area, perimeter) is _OK,
         is_self_amicable(shape),
     )
 

@@ -191,8 +191,16 @@ class Parallelogram:
         """Build the parallelogram with the given base, height, and side.
 
         The height may be rational, but base*height must be an integer or
-        the area would not be.  The side must be at least the height.
+        the area would not be.  The side must be at least the height.  Base
+        and side must be ints and the height an int or a ``Fraction`` (bools
+        refused), or :class:`NonIntegerDimension` is raised.
         """
+        require_int(base, "base")
+        require_int(side, "side")
+        if type(height) is not int and type(height) is not Fraction:
+            raise NonIntegerDimension(
+                f"height must be an int or a Fraction, got {type(height).__name__}"
+            )
         height = Fraction(height)
         if base < 1 or side < 1 or height <= 0:
             raise ZeroDimension(

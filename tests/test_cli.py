@@ -9,6 +9,7 @@ from amigram import (
     FamilyEntry,
     InvalidPerimeter,
     Parallelogram,
+    Reason,
     companion_exists_bruteforce,
     fib,
     int_to_decimal,
@@ -121,14 +122,14 @@ class TestVerify:
     def test_injected_disagreement_exits_2(self, monkeypatch, capsys):
         # force the closed form to lie on one cell; the brute force should
         # catch it and flip the exit code
-        real = cli.is_amicable_invariants
+        real = cli.closed_form
 
         def liar(area, perimeter):
             if (area, perimeter) == (3, 8):
-                return True
+                return Reason.OK
             return real(area, perimeter)
 
-        monkeypatch.setattr(cli, "is_amicable_invariants", liar)
+        monkeypatch.setattr(cli, "closed_form", liar)
         code = cli.main(["verify", "--max-perimeter", "8"])
         out = capsys.readouterr().out
         assert code == 2
@@ -192,13 +193,16 @@ class TestVerify:
 
     def test_bruteforce_side_never_consults_the_closed_form(self, monkeypatch, capsys):
         def refuse(area, perimeter):
-            raise AssertionError("the brute-force side must not call decide")
+            raise AssertionError("the brute-force side must not call decide or closed_form")
 
         monkeypatch.setattr(amicability, "decide", refuse)
+        monkeypatch.setattr(amicability, "closed_form", refuse)
         monkeypatch.setattr(
             cli,
-            "is_amicable_invariants",
-            lambda area, perimeter: area % 2 == 0 and area * area >= 16 * perimeter,
+            "closed_form",
+            lambda area, perimeter: Reason.OK
+            if area % 2 == 0 and area * area >= 16 * perimeter
+            else Reason.BOUND_FAIL,
         )
         assert cli.main(["verify", "--max-perimeter", "40"]) == 0
         assert capsys.readouterr().out == (

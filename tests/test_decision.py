@@ -1,6 +1,8 @@
-"""The closed form lives in ``decide``; everything else routes through it,
-and the brute-force oracle stays independent of it."""
+"""The closed form is written once, in ``closed_form``; ``decide`` is its
+checked entry, every other route answers from the rule, and the brute-force
+oracle stays independent of both."""
 
+import sys
 from math import isqrt
 
 import pytest
@@ -12,10 +14,12 @@ import amigram.cli as cli
 from amigram import (
     HeronianError,
     InvalidPerimeter,
+    NonIntegerDimension,
     NotAmicable,
     Parallelogram,
     Reason,
     Verdict,
+    census_row,
     classify,
     classify_invariants,
     companion_base_range,
@@ -23,8 +27,10 @@ from amigram import (
     companion_exists_bruteforce,
     companion_from_invariants,
     decide,
+    is_amicable,
     is_amicable_invariants,
 )
+from amigram.amicability import companion_scan
 
 
 def written_out_reason(area, perimeter):
@@ -72,16 +78,6 @@ def test_every_entry_point_agrees_with_the_written_out_closed_form(pair):
         assert exc.value.reason is reason
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_classify_matches_classify_invariants(data):
-    base = data.draw(st.integers(min_value=1, max_value=60))
-    side = data.draw(st.integers(min_value=1, max_value=60))
-    area = data.draw(st.integers(min_value=1, max_value=base * side))
-    shape = Parallelogram(base, side, area)
-    assert classify(shape) == classify_invariants(area, shape.perimeter)
-
-
 def test_refusal_verdicts_are_shared_and_equal_fresh_ones():
     odd = classify(Parallelogram(3, 4, 9))
     assert odd is classify(Parallelogram(1, 9, 9))
@@ -100,24 +96,146 @@ def test_bruteforce_matches_the_exhaustive_base_scan_on_a_grid():
             ), (area, perimeter)
 
 
+def patch_every_binding(monkeypatch, name, replacement):
+    """Point every amigram module's global ``name`` at ``replacement``, so
+    a route that imported the function is patched along with its home."""
+    real = getattr(amicability, name)
+    patched = [
+        module
+        for module_name, module in sorted(sys.modules.items())
+        if module_name.partition(".")[0] == "amigram"
+        and vars(module).get(name) is real
+    ]
+    for module in patched:
+        monkeypatch.setattr(module, name, replacement)
+    return [module.__name__ for module in patched]
+
+
 def test_bruteforce_does_not_consult_the_closed_form(monkeypatch):
     def refuse(area, perimeter):
-        raise AssertionError("the oracle must not call decide")
+        raise AssertionError("the oracle must not call decide or closed_form")
 
-    monkeypatch.setattr(amicability, "decide", refuse)
+    patch_every_binding(monkeypatch, "decide", refuse)
+    patch_every_binding(monkeypatch, "closed_form", refuse)
     assert companion_exists_bruteforce(42, 26) is True
     assert companion_exists_bruteforce(10, 16) is False
     assert companion_exists_bruteforce(9, 16) is False
+    assert companion_scan(42, 26) is True
+    assert companion_scan(10, 16) is False
 
 
-def test_every_closed_form_route_goes_through_decide(monkeypatch):
-    monkeypatch.setattr(amicability, "decide", lambda area, perimeter: Reason.ODD_AREA)
-    assert is_amicable_invariants(42, 26) is False
-    assert classify_invariants(42, 26) == Verdict(False, Reason.ODD_AREA, None)
-    assert classify(Parallelogram(7, 6, 42)).reason is Reason.ODD_AREA
-    with pytest.raises(NotAmicable):
-        companion_from_invariants(42, 26)
-    assert companion_base_range(42, 26) == range(0)
+def test_every_closed_form_route_answers_from_the_rule(monkeypatch):
+    calls = []
+
+    def rule(area, perimeter):
+        calls.append((area, perimeter))
+        return Reason.ODD_AREA
+
+    patched = patch_every_binding(monkeypatch, "closed_form", rule)
+    assert {"amigram.amicability", "amigram.census", "amigram.cli"} <= set(patched)
+
+    def from_rule(route, *args):
+        before = len(calls)
+        result = route(*args)
+        assert calls[before:] and calls[-1][1] == 26, route
+        return result
+
+    def refuses(route, *args):
+        with pytest.raises(NotAmicable) as exc:
+            route(*args)
+        assert exc.value.reason is Reason.ODD_AREA
+
+    shape = Parallelogram(7, 6, 42)
+    assert from_rule(decide, 42, 26) is Reason.ODD_AREA
+    assert from_rule(is_amicable_invariants, 42, 26) is False
+    assert from_rule(classify_invariants, 42, 26) == Verdict(False, Reason.ODD_AREA, None)
+    assert from_rule(classify, shape).reason is Reason.ODD_AREA
+    assert from_rule(is_amicable, shape) is False
+    assert from_rule(census_row, shape).amicable is False
+    from_rule(refuses, companion_from_invariants, 42, 26)
+    assert from_rule(companion_base_range, 42, 26) == range(0)
+    del calls[:]
+    cells, agreements, disagreements = from_rule(cli._verify_perimeter, 26)
+    assert calls == [(area, 26) for area in range(1, cells + 1)]
+    assert disagreements == [
+        (area, 26) for area in range(1, cells + 1) if companion_scan(area, 26)
+    ]
+    assert disagreements and agreements == cells - len(disagreements)
+
+
+@st.composite
+def valid_shapes(draw):
+    """Valid shapes with sides small or past CPython's 4300-digit int/str
+    limit, and areas anywhere in range or next to the bound."""
+    size = st.one_of(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=10**4300, max_value=10**4400),
+    )
+    base = draw(size)
+    side = draw(size)
+    near_bound = isqrt(32 * (base + side)) + draw(st.integers(min_value=-4, max_value=4))
+    area = draw(
+        st.one_of(st.integers(min_value=1, max_value=base * side), st.just(near_bound))
+    )
+    return Parallelogram(base, side, min(max(area, 1), base * side))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=valid_shapes())
+def test_classify_matches_classify_invariants(shape):
+    area, perimeter = shape.area, shape.perimeter
+    assert classify(shape) == classify_invariants(area, perimeter)
+    assert is_amicable(shape) == is_amicable_invariants(area, perimeter)
+    assert is_amicable(shape) is (written_out_reason(area, perimeter) is Reason.OK)
+
+
+_NON_INTS = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.fractions(),
+    st.decimals(),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+@st.composite
+def refused_pairs(draw):
+    """(area, perimeter, error) that ``decide`` refuses, with the error it
+    raises: a perimeter that is not an int, or is odd or below 4, with any
+    area; or a good perimeter with an area that is not an int."""
+    if draw(st.booleans()):
+        perimeter = draw(_NON_INTS)
+        error = NonIntegerDimension
+    elif draw(st.booleans()):
+        perimeter = draw(
+            st.one_of(
+                st.integers(max_value=3),
+                st.integers(min_value=2).map(lambda n: 2 * n + 1),
+                st.just(-(10**5000)),
+                st.just(10**5000 + 1),
+            )
+        )
+        error = InvalidPerimeter
+    else:
+        perimeter = 2 * draw(st.integers(min_value=2))
+        return draw(_NON_INTS), perimeter, NonIntegerDimension
+    return draw(st.one_of(st.integers(), _NON_INTS)), perimeter, error
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=refused_pairs())
+def test_decide_refuses_bad_input_before_the_rule(case):
+    area, perimeter, error = case
+
+    def refuse(area, perimeter):
+        raise AssertionError("closed_form reached on refused input")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(amicability, "closed_form", refuse)
+        with pytest.raises(HeronianError) as exc:
+            decide(area, perimeter)
+    assert exc.type is error
 
 
 class TestImpossibleInvariants:

@@ -1,5 +1,6 @@
 """Library constructors reject malformed or oversized input as HeronianError."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,38 @@ class TestBigIntegerMessages:
         with pytest.raises(error) as exc:
             Parallelogram.from_base_height_side(*args)
         assert str(exc.value) == message
+
+
+class TestFromBaseHeightSideTypes:
+    """Base and side must be ints and the height an int or a Fraction, bools
+    refused, before any arithmetic runs on them."""
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((8.0, Fraction(13, 4), 13), "base must be an int, got float"),
+            (("8", 1, 1), "base must be an int, got str"),
+            ((True, 1, 1), "base must be an int, got bool"),
+            ((8, Fraction(13, 4), 13.0), "side must be an int, got float"),
+            ((8, Fraction(13, 4), False), "side must be an int, got bool"),
+            ((8, 3.25, 13), "height must be an int or a Fraction, got float"),
+            ((8, True, 13), "height must be an int or a Fraction, got bool"),
+            ((8, "13/4", 13), "height must be an int or a Fraction, got str"),
+            ((8, Decimal("3.25"), 13), "height must be an int or a Fraction, got Decimal"),
+            ((8, None, 13), "height must be an int or a Fraction, got NoneType"),
+        ],
+        ids=lambda value: repr(value)[:24],
+    )
+    def test_refused(self, args, message):
+        with pytest.raises(NonIntegerDimension) as exc:
+            Parallelogram.from_base_height_side(*args)
+        assert str(exc.value) == message
+
+    def test_int_and_fraction_heights_accepted(self):
+        assert Parallelogram.from_base_height_side(8, Fraction(13, 4), 13) == (
+            Parallelogram(8, 13, 26)
+        )
+        assert Parallelogram.from_base_height_side(8, 3, 13) == Parallelogram(8, 13, 24)
 
 
 class TestNonIntInvariants:
