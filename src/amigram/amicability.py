@@ -17,9 +17,10 @@ bases that work form one interval around the peak, which
 :func:`closed_form` is the one place that rule is written, for data already
 checked.  :func:`decide` is its checked entry: it refuses a bad area or
 perimeter, then returns the rule.  Routes on checked data call the rule
-directly: :func:`classify` and :func:`is_amicable`, whose shape the
-``Parallelogram`` constructor validated, and :func:`classify_invariants`
-once :func:`exists_heronian_with` has passed both arguments.
+directly: :func:`classify`, :func:`is_amicable`, :func:`companion` and
+:func:`all_companion_bases`, whose shape the ``Parallelogram`` constructor
+validated, and :func:`classify_invariants` once :func:`exists_heronian_with`
+has passed both arguments.
 
 :func:`companion_exists_bruteforce` runs the same existence question as a
 literal exhaustive scan over every candidate base, deliberately ignoring the
@@ -201,16 +202,7 @@ def companion_from_invariants(area: int, perimeter: int) -> Parallelogram:
     quadratic bound, i.e. the side spans the height perimeter/base.
     Raises :class:`NotAmicable` when no companion exists.
     """
-    reason = decide(area, perimeter)
-    if reason is _ODD_AREA:
-        raise NotAmicable(reason, f"area {int_to_decimal(area)} is odd")
-    if reason is _BOUND_FAIL:
-        raise NotAmicable(
-            reason,
-            f"area^2 < 16*perimeter for area {int_to_decimal(area)} "
-            f"and perimeter {int_to_decimal(perimeter)}",
-        )
-    return _build_companion(area, perimeter)
+    return _companion(decide(area, perimeter), area, perimeter)
 
 
 def companion(shape: Parallelogram) -> Parallelogram:
@@ -218,9 +210,25 @@ def companion(shape: Parallelogram) -> Parallelogram:
 
     Raises :class:`NotAmicable` when ``shape`` is not amicable.  Companions
     are generally not unique; :func:`all_companion_bases` lists every base
-    that would do.
+    that would do.  The constructor has checked the shape, so this runs the
+    bare rule.
     """
-    return companion_from_invariants(shape.area, shape.perimeter)
+    area, perimeter = shape.area, shape.perimeter
+    return _companion(closed_form(area, perimeter), area, perimeter)
+
+
+def _companion(reason: Reason, area: int, perimeter: int) -> Parallelogram:
+    """The companion when the rule's ``reason`` is OK, else the refusal
+    naming why."""
+    if reason is _OK:
+        return _build_companion(area, perimeter)
+    if reason is _ODD_AREA:
+        raise NotAmicable(reason, f"area {int_to_decimal(area)} is odd")
+    raise NotAmicable(
+        reason,
+        f"area^2 < 16*perimeter for area {int_to_decimal(area)} "
+        f"and perimeter {int_to_decimal(perimeter)}",
+    )
 
 
 def verify_pair(first: Parallelogram, second: Parallelogram) -> bool:
@@ -273,6 +281,11 @@ def companion_base_range(area: int, perimeter: int) -> range:
     """
     if decide(area, perimeter) is not _OK or area < 2:
         return range(0)
+    return _base_range(area, perimeter)
+
+
+def _base_range(area: int, perimeter: int) -> range:
+    """Every companion base for a pair the rule found amicable."""
     half = area // 2
     # isqrt is at most 1 below the real root, so this is the least base or
     # one above it.  A base exists: area^2 >= 16*perimeter puts the integer
@@ -300,9 +313,13 @@ def all_companion_bases(shape: Parallelogram) -> list[int]:
     """Every companion base for ``shape``, ascending; empty iff not amicable.
 
     Each listed b yields a valid companion with height perimeter/b and side
-    area/2 - b.
+    area/2 - b.  The constructor has checked the shape, so this runs the
+    bare rule.
     """
-    return list(companion_base_range(shape.area, shape.perimeter))
+    area, perimeter = shape.area, shape.perimeter
+    if closed_form(area, perimeter) is not _OK:
+        return []
+    return list(_base_range(area, perimeter))
 
 
 def is_self_amicable(shape: Parallelogram) -> bool:

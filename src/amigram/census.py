@@ -294,7 +294,7 @@ def smallest_amicable() -> Parallelogram:
         hits = [
             shape
             for shape in enumerate_by_perimeter(perimeter)
-            if is_amicable_invariants(shape.area, perimeter)
+            if closed_form(shape.area, perimeter) is _OK
         ]
         if hits:
             return min(hits, key=lambda shape: (shape.area, shape.base))

@@ -81,19 +81,18 @@ def _verify_perimeter(perimeter: int) -> tuple[int, int, list[tuple[int, int]]]:
     """Grid row for one perimeter: (cells, agreements, disagreeing areas).
 
     The perimeter is checked once here and every area is an int, so each
-    cell plays the bare brute-force scan against the bare closed form.
+    cell is the two bare calls, closed form then brute-force scan, and
+    nothing else: the agreements are the cells that did not disagree.
     """
     require_even_perimeter(perimeter)
     half = perimeter // 2
     cells = (half // 2) * ((half + 1) // 2)
-    agreements = 0
     disagreements = []
     for area in range(1, cells + 1):
-        if (closed_form(area, perimeter) is _OK) == companion_scan(area, perimeter):
-            agreements += 1
-        else:
+        # Both sides are bools, so identity is equality.
+        if (closed_form(area, perimeter) is _OK) is not companion_scan(area, perimeter):
             disagreements.append((area, perimeter))
-    return cells, agreements, disagreements
+    return cells, cells - len(disagreements), disagreements
 
 
 def _cmd_check(args) -> tuple[int, Iterable[str]]:

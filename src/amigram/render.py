@@ -7,8 +7,8 @@ inner difference s^2 - h^2 is an exact ratio of integers, rounded once to a
 float before the square root, so coordinates are correct to double-precision
 rounding.  All numbers are printed with fixed 9-decimal formatting to keep
 output byte-stable.
-A canvas too small for its margins, or a canvas or shape too large for a
-float, is refused with :class:`RenderError`.
+An invalid :class:`RenderSpec`, a canvas too small for its margins, or a
+canvas or shape too large for a float, is refused with :class:`RenderError`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import amicability
-from .core import HeronianError, Parallelogram
+from .core import HeronianError, Parallelogram, int_to_decimal, require_int
 
 _LABEL_BAND = 28  # px reserved under the shapes for the caption line
 _FONT_SIZE = 13
@@ -29,13 +29,37 @@ class RenderError(HeronianError):
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """What to draw and how large the canvas is, in pixels."""
+    """What to draw and how large the canvas is, in pixels.
+
+    Checked when built: a shape that is not a ``Parallelogram``, an
+    ``include_companion`` that is not a bool, a width or height below 1 or a
+    negative margin is a :class:`RenderError`, and a dimension that is not
+    an int (a bool included) is a ``NonIntegerDimension``.
+    """
 
     parallelogram: Parallelogram
     include_companion: bool = False
     width: int = 640
     height: int = 360
     margin: int = 24
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.parallelogram, Parallelogram):
+            raise RenderError(
+                f"can only draw a Parallelogram, got {type(self.parallelogram).__name__}"
+            )
+        if type(self.include_companion) is not bool:
+            raise RenderError(
+                "include_companion must be a bool, got "
+                f"{type(self.include_companion).__name__}"
+            )
+        for name, least in (("width", 1), ("height", 1), ("margin", 0)):
+            value = getattr(self, name)
+            require_int(value, name)
+            if value < least:
+                raise RenderError(
+                    f"{name} must be at least {least}, got {int_to_decimal(value)}"
+                )
 
 
 def model_vertices(shape: Parallelogram) -> list[tuple[float, float]]:

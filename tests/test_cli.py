@@ -224,6 +224,26 @@ class TestVerify:
         assert "disagreements: 1" in out
         assert "disagree: area=4 perimeter=8" in out
 
+    def test_lies_in_two_rows_are_reported_in_perimeter_order(self, monkeypatch, capsys):
+        real = cli.companion_scan
+        # A false "yes" in the perimeter-8 row and a false "no" in the 16 row.
+        lies = {(4, 8): True, (16, 16): False}
+
+        def liar(area, perimeter):
+            return lies.get((area, perimeter), real(area, perimeter))
+
+        monkeypatch.setattr(cli, "companion_scan", liar)
+        code = cli.main(["verify", "--max-perimeter", "16"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert lines[3:] == [
+            "disagreements: 2",
+            "disagree: area=4 perimeter=8",
+            "disagree: area=16 perimeter=16",
+        ]
+        cells = int(lines[1].removeprefix("cells: "))
+        assert lines[2] == f"agreements: {cells - 2}"
+
     @pytest.mark.parametrize("perimeter", [7, 2])
     def test_row_refuses_impossible_perimeter(self, perimeter):
         with pytest.raises(InvalidPerimeter):

@@ -19,9 +19,11 @@ from amigram import (
     Parallelogram,
     Reason,
     Verdict,
+    all_companion_bases,
     census_row,
     classify,
     classify_invariants,
+    companion,
     companion_base_range,
     companion_bases_exhaustive,
     companion_exists_bruteforce,
@@ -153,7 +155,9 @@ def test_every_closed_form_route_answers_from_the_rule(monkeypatch):
     assert from_rule(is_amicable, shape) is False
     assert from_rule(census_row, shape).amicable is False
     from_rule(refuses, companion_from_invariants, 42, 26)
+    from_rule(refuses, companion, shape)
     assert from_rule(companion_base_range, 42, 26) == range(0)
+    assert from_rule(all_companion_bases, shape) == []
     del calls[:]
     cells, agreements, disagreements = from_rule(cli._verify_perimeter, 26)
     assert calls == [(area, 26) for area in range(1, cells + 1)]
@@ -187,6 +191,25 @@ def test_classify_matches_classify_invariants(shape):
     assert classify(shape) == classify_invariants(area, perimeter)
     assert is_amicable(shape) == is_amicable_invariants(area, perimeter)
     assert is_amicable(shape) is (written_out_reason(area, perimeter) is Reason.OK)
+
+
+def refusal(route, *args):
+    with pytest.raises(NotAmicable) as exc:
+        route(*args)
+    return exc.value.reason, str(exc.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=valid_shapes())
+def test_shape_companion_routes_match_the_invariant_routes(shape):
+    area, perimeter = shape.area, shape.perimeter
+    if is_amicable(shape):
+        assert companion(shape) == companion_from_invariants(area, perimeter)
+    else:
+        # Same reason and byte-identical message from the bare and checked rule.
+        assert refusal(companion, shape) == refusal(companion_from_invariants, area, perimeter)
+    if area < 10**6:  # past that an amicable shape has too many bases to list
+        assert all_companion_bases(shape) == list(companion_base_range(area, perimeter))
 
 
 _NON_INTS = st.one_of(

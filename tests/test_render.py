@@ -5,8 +5,10 @@ from pathlib import Path
 import pytest
 
 from amigram import (
+    NonIntegerDimension,
     NotAmicable,
     Parallelogram,
+    RenderError,
     RenderSpec,
     model_vertices,
     render_svg,
@@ -89,3 +91,41 @@ class TestRenderSvg:
     def test_custom_canvas_dimensions_respected(self):
         svg = render_svg(RenderSpec(Parallelogram(4, 4, 16), width=300, height=200))
         assert 'width="300" height="200" viewBox="0 0 300 200"' in svg
+
+
+class TestRenderSpecChecks:
+    SHAPE = Parallelogram(7, 6, 42)
+
+    @pytest.mark.parametrize("shape", ["x", (7, 6, 42), None])
+    def test_non_parallelogram_is_refused(self, shape):
+        with pytest.raises(RenderError):
+            RenderSpec(shape)
+
+    @pytest.mark.parametrize("field", ["width", "height", "margin"])
+    @pytest.mark.parametrize("value", [700.5, "360", True, False, None])
+    def test_non_int_dimension_is_refused(self, field, value):
+        with pytest.raises(NonIntegerDimension, match=field):
+            RenderSpec(self.SHAPE, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("width", 0), ("width", -640), ("height", 0), ("height", -1), ("margin", -5)],
+    )
+    def test_dimension_out_of_range_is_refused(self, field, value):
+        with pytest.raises(RenderError, match=field):
+            RenderSpec(self.SHAPE, **{field: value})
+
+    def test_huge_negative_margin_is_named_in_full(self):
+        with pytest.raises(RenderError, match="margin must be at least 0, got -1000"):
+            RenderSpec(self.SHAPE, margin=-(10**5000))
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None])
+    def test_non_bool_include_companion_is_refused(self, flag):
+        with pytest.raises(RenderError, match="include_companion"):
+            RenderSpec(self.SHAPE, include_companion=flag)
+
+    def test_zero_margin_stays_inside_canvas(self):
+        svg = render_svg(RenderSpec(self.SHAPE, include_companion=True, margin=0))
+        for match in re.finditer(r'points="([^"]+)"', svg):
+            for token in match.group(1).replace(",", " ").split():
+                assert 0.0 <= float(token) <= 640.0
