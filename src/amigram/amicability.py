@@ -14,13 +14,14 @@ which is how :func:`companion_from_invariants` builds its witness.  The
 bases that work form one interval around the peak, which
 :func:`companion_base_range` finds with an integer square root.
 
-:func:`closed_form` is the one place that rule is written, for data already
-checked.  :func:`decide` is its checked entry: it refuses a bad area or
-perimeter, then returns the rule.  Routes on checked data call the rule
-directly: :func:`classify`, :func:`is_amicable`, :func:`companion` and
-:func:`all_companion_bases`, whose shape the ``Parallelogram`` constructor
-validated, and :func:`classify_invariants` once :func:`exists_heronian_with`
-has passed both arguments.
+:func:`closed_form` is the one place that rule is written, for a positive
+int area and a checked perimeter.  :func:`decide` is its checked entry: it
+refuses a bad perimeter, then a bad area, then returns the rule.  Routes
+on checked data call the rule directly: :func:`classify`,
+:func:`is_amicable`, :func:`companion` and :func:`all_companion_bases`,
+whose shape the ``Parallelogram`` constructor validated, and
+:func:`classify_invariants` once :func:`exists_heronian_with` has passed
+both arguments.
 
 :func:`companion_exists_bruteforce` runs the same existence question as a
 literal exhaustive scan over every candidate base, deliberately ignoring the
@@ -44,6 +45,7 @@ from .core import (
     rebind_frozen_slots,
     require_even_perimeter,
     require_int,
+    require_positive_area,
     slot_setters,
 )
 
@@ -112,8 +114,8 @@ def closed_form(area: int, perimeter: int) -> Reason:
     """The closed form, written in one place: ODD_AREA, BOUND_FAIL or OK.
 
     Pure integer arithmetic: area even and area^2 >= 16*perimeter.  Checks
-    nothing: the area must be an int and the perimeter an even int >= 4,
-    as :func:`decide` makes sure.
+    nothing: the area must be a positive int and the perimeter an even int
+    >= 4, as :func:`decide` makes sure.
     """
     if area % 2:
         return _ODD_AREA
@@ -126,14 +128,14 @@ def decide(area: int, perimeter: int) -> Reason:
     """The closed form on unchecked data: checks both arguments, then
     returns :func:`closed_form`.
 
-    Raises :class:`InvalidPerimeter` for perimeters no parallelogram can
-    have and :class:`NonIntegerDimension` for an argument that is not an
-    int; it does not check that some shape has this area and perimeter
-    (see :func:`exists_heronian_with`).
+    Checks the perimeter, then the area: raises :class:`InvalidPerimeter`
+    for perimeters no parallelogram can have, :class:`ZeroDimension` for an
+    area below 1 and :class:`NonIntegerDimension` for an argument that is
+    not an int.  It does not check that some shape has this area and
+    perimeter (see :func:`exists_heronian_with`).
     """
     require_even_perimeter(perimeter)
-    if type(area) is not int:  # tested inline, as it runs once per grid cell
-        require_int(area, "area")
+    require_positive_area(area)
     return closed_form(area, perimeter)
 
 
@@ -243,14 +245,13 @@ def companion_exists_bruteforce(area: int, perimeter: int) -> bool:
 
     Checks both arguments, then runs :func:`companion_scan`.
     """
-    if type(area) is not int:
-        require_int(area, "area")
     require_even_perimeter(perimeter)
+    require_positive_area(area)
     return companion_scan(area, perimeter)
 
 
 def companion_scan(area: int, perimeter: int) -> bool:
-    """The literal base scan, for an int area and a checked perimeter.
+    """The literal base scan, for a positive int area and a checked perimeter.
 
     Tries every integer base b = 1, 2, ..., area/2 - 1 in order; the
     matching side is area/2 - b and the companion needs area ``perimeter``,
@@ -279,7 +280,7 @@ def companion_base_range(area: int, perimeter: int) -> range:
     discriminant and then settled by exact checks on the integers next to
     it, so the range is exact at any size.  Empty iff not amicable.
     """
-    if decide(area, perimeter) is not _OK or area < 2:
+    if decide(area, perimeter) is not _OK:
         return range(0)
     return _base_range(area, perimeter)
 
@@ -301,8 +302,8 @@ def companion_bases_exhaustive(area: int, perimeter: int) -> list[int]:
 
     The O(area) oracle for :func:`companion_base_range`.
     """
-    require_int(area, "area")
     require_even_perimeter(perimeter)
+    require_positive_area(area)
     if area % 2:
         return []
     half = area // 2
@@ -334,9 +335,8 @@ def exists_heronian_with(area: int, perimeter: int) -> bool:
     two sides summing to perimeter/2, i.e. floor(P/4)*ceil(P/4).  Raises
     :class:`NonIntegerDimension` for an argument that is not an int.
     """
-    if type(area) is not int or type(perimeter) is not int:
-        require_int(area, "area")
-        require_int(perimeter, "perimeter")
+    require_int(area, "area")
+    require_int(perimeter, "perimeter")
     if perimeter < 4 or perimeter % 2:
         return False
     half = perimeter // 2

@@ -22,11 +22,11 @@ from typing import Iterator
 from .amicability import Reason, closed_form, is_amicable_invariants, is_self_amicable
 from .core import (
     Parallelogram,
-    ZeroDimension,
     int_to_decimal,
     rebind_frozen_slots,
     require_even_perimeter,
     require_int,
+    require_positive_area,
 )
 
 CSV_HEADER = "short_side,long_side,area,perimeter,amicable,self_amicable"
@@ -98,12 +98,6 @@ class RectanglePair:
         }
 
 
-def _require_positive_area(area: int) -> None:
-    require_int(area, "area")
-    if area < 1:
-        raise ZeroDimension(f"area must be positive, got {int_to_decimal(area)}")
-
-
 def enumerate_by_perimeter(perimeter: int) -> Iterator[Parallelogram]:
     """Every canonical parallelogram with the given perimeter, once each.
 
@@ -128,7 +122,7 @@ def enumerate_by_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
     to ``max_perimeter``, ordered by (perimeter, shorter side).  Invalid
     input raises here, not at the first ``next()``."""
     require_even_perimeter(max_perimeter)
-    _require_positive_area(area)
+    require_positive_area(area)
     return _shapes_with_area(area, max_perimeter)
 
 
@@ -216,7 +210,7 @@ def non_amicable_witness_area(area: int) -> Parallelogram:
     padding that forces the failure is used, and the failure is re-checked
     here rather than trusted.
     """
-    _require_positive_area(area)
+    require_positive_area(area)
     if area % 2:
         return Parallelogram(area, 1, area)
     side = max(1, area * area // 32 - area + 2)

@@ -342,9 +342,15 @@ def require_int(value: object, name: str) -> None:
 def require_even_perimeter(perimeter: int) -> None:
     """Reject perimeters no parallelogram can have (not an int, odd, or
     below 4)."""
-    if type(perimeter) is not int:  # tested inline, as it runs once per grid cell
-        require_int(perimeter, "perimeter")
+    require_int(perimeter, "perimeter")
     if perimeter < 4 or perimeter % 2:
         raise InvalidPerimeter(
             f"perimeter must be an even integer >= 4, got {int_to_decimal(perimeter)}"
         )
+
+
+def require_positive_area(area: int) -> None:
+    """Reject areas no parallelogram can have (not an int, or below 1)."""
+    require_int(area, "area")
+    if area < 1:
+        raise ZeroDimension(f"area must be positive, got {int_to_decimal(area)}")

@@ -19,6 +19,7 @@ from amigram import (
     Parallelogram,
     Reason,
     Verdict,
+    ZeroDimension,
     all_companion_bases,
     census_row,
     classify,
@@ -29,8 +30,11 @@ from amigram import (
     companion_exists_bruteforce,
     companion_from_invariants,
     decide,
+    enumerate_by_area,
+    int_to_decimal,
     is_amicable,
     is_amicable_invariants,
+    non_amicable_witness_area,
 )
 from amigram.amicability import companion_scan
 
@@ -261,6 +265,57 @@ def test_decide_refuses_bad_input_before_the_rule(case):
     assert exc.type is error
 
 
+def outcome(route, *args):
+    """What ``route`` returns, as a list if a range, or the class of the
+    ``HeronianError`` it raises."""
+    try:
+        result = route(*args)
+    except HeronianError as exc:
+        return type(exc)
+    return list(result) if isinstance(result, range) else result
+
+
+_ANY_ARGUMENT = st.one_of(st.integers(max_value=3000), st.just(-(10**5000)), _NON_INTS)
+
+
+@settings(max_examples=500, deadline=None)
+@given(area=_ANY_ARGUMENT, perimeter=_ANY_ARGUMENT)
+def test_closed_form_and_scan_agree_on_every_pair_refusals_included(area, perimeter):
+    assert outcome(is_amicable_invariants, area, perimeter) == outcome(
+        companion_exists_bruteforce, area, perimeter
+    )
+    assert outcome(companion_base_range, area, perimeter) == outcome(
+        companion_bases_exhaustive, area, perimeter
+    )
+
+
+@pytest.mark.parametrize("area", [0, -4, -(10**5000)], ids=["0", "-4", "-1e5000"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        decide,
+        is_amicable_invariants,
+        companion_from_invariants,
+        companion_base_range,
+        companion_exists_bruteforce,
+        companion_bases_exhaustive,
+        enumerate_by_area,
+        non_amicable_witness_area,
+    ],
+    ids=lambda entry: entry.__name__,
+)
+def test_every_checked_entry_refuses_a_non_positive_area_alike(entry, area, monkeypatch):
+    def refuse(area, perimeter):
+        raise AssertionError("rule reached on a non-positive area")
+
+    patch_every_binding(monkeypatch, "closed_form", refuse)
+    patch_every_binding(monkeypatch, "companion_scan", refuse)
+    args = (area,) if entry is non_amicable_witness_area else (area, 4)
+    with pytest.raises(ZeroDimension) as exc:
+        entry(*args)
+    assert str(exc.value) == "area must be positive, got " + int_to_decimal(area)
+
+
 class TestImpossibleInvariants:
     @pytest.mark.parametrize(
         "area,perimeter",
@@ -291,7 +346,8 @@ class TestImpossibleInvariants:
 
     def test_unguarded_routes_still_answer(self):
         assert is_amicable_invariants(10**9, 26) is True
-        assert decide(-4, 4) is Reason.BOUND_FAIL
+        with pytest.raises(ZeroDimension):
+            decide(-4, 4)
 
     def test_cli_check_reports_one_line(self, capsys):
         assert cli.main(["check", "--area", "1000000000", "--perimeter", "26"]) == 1
