@@ -61,13 +61,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_report(message))
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     # argparse reports a plain ValueError as "invalid <function name> value";
     # ArgumentTypeError makes it print the library's own message.
     try:
-        value = decimal_to_int(text)
+        return decimal_to_int(text)
     except HeronianError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
@@ -112,34 +116,19 @@ def _cmd_family(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, Iterable[str]]:
+    """Every grid row in this process, one perimeter at a time, keeping
+    only running totals."""
     require_even_perimeter(args.max_perimeter)
-    perimeters = range(4, args.max_perimeter + 1, 2)
-    # No more workers than cores or perimeters: a pool starts every worker
-    # before it maps.  len() of a range fails past sys.maxsize, so count here.
-    workers = min(args.threads, os.cpu_count() or 1, (args.max_perimeter - 2) // 2)
-    if workers > 1:
-        # Imported here: at module level it adds about 10 ms to every
-        # command's start, and only this branch uses it.
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=workers) as pool:
-            return _verify_report(
-                args.max_perimeter, pool.imap(_verify_perimeter, perimeters)
-            )
-    return _verify_report(args.max_perimeter, map(_verify_perimeter, perimeters))
-
-
-def _verify_report(max_perimeter: int, rows) -> tuple[int, list[str]]:
-    """Exit code and report from the per-perimeter rows, taken in order
-    and added up as they come."""
     cells = agreements = 0
     disagreements = []
-    for row_cells, row_agreements, row_disagreements in rows:
+    for row_cells, row_agreements, row_disagreements in map(
+        _verify_perimeter, range(4, args.max_perimeter + 1, 2)
+    ):
         cells += row_cells
         agreements += row_agreements
         disagreements.extend(row_disagreements)
     return (0 if not disagreements else 2), [
-        f"max perimeter: {max_perimeter}",
+        f"max perimeter: {args.max_perimeter}",
         f"cells: {cells}",
         f"agreements: {agreements}",
         f"disagreements: {len(disagreements)}",
@@ -202,7 +191,7 @@ def _build_parser() -> _Parser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="cap sweep parallelism (default 1)",
+        help="accepted for compatibility; every subcommand runs in one process",
     )
 
     parser = _Parser(prog="amigram", description=__doc__.splitlines()[0])
@@ -252,9 +241,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--side", type=_positive_int, required=True)
     p.add_argument("--area", type=_positive_int, required=True)
     p.add_argument("--companion", action="store_true")
-    p.add_argument("--width", type=_positive_int, default=640)
-    p.add_argument("--height", type=_positive_int, default=360)
-    p.add_argument("--margin", type=_positive_int, default=24)
+    p.add_argument("--width", type=_integer, default=640)
+    p.add_argument("--height", type=_integer, default=360)
+    p.add_argument("--margin", type=_integer, default=24)
     p.set_defaults(handler=_cmd_render)
 
     return parser

@@ -16,6 +16,7 @@ from amigram import (
     is_amicable_invariants,
 )
 from amigram.families import FamilyReportRow
+from amigram.render import RenderSpec, render_svg
 import amigram.amicability as amicability
 import amigram.cli as cli
 
@@ -104,11 +105,12 @@ class TestVerify:
             "disagreements: 0\n"
         )
 
-    def test_threads_do_not_change_output(self):
+    @pytest.mark.parametrize("threads", ["1", "2", "64"])
+    def test_threads_do_not_change_output(self, threads):
         single = run_cli("verify", "--max-perimeter", "60")
-        double = run_cli("verify", "--max-perimeter", "60", "--threads", "2")
-        assert double.returncode == 0
-        assert single.stdout == double.stdout
+        given = run_cli("verify", "--max-perimeter", "60", "--threads", threads)
+        assert given.returncode == 0
+        assert single.stdout == given.stdout
 
     def test_minimal_grid(self):
         result = run_cli("verify", "--max-perimeter", "4")
@@ -135,49 +137,6 @@ class TestVerify:
         assert code == 2
         assert "disagreements: 1" in out
         assert "disagree: area=3 perimeter=8" in out
-
-
-    @pytest.mark.parametrize(
-        "threads,cpus,max_perimeter,pool_size",
-        [
-            (64, 8, "6", 2),  # two perimeters: 4 and 6
-            (64, 4, "40", 4),  # four cores
-            (3, 8, "40", 3),  # three threads asked for
-            (64, 8, "4", None),  # one perimeter: no pool
-            (64, None, "40", None),  # core count unknown: no pool
-            (1, 8, "40", None),
-        ],
-    )
-    def test_pool_capped_by_cores_and_perimeters(
-        self, monkeypatch, capsys, threads, cpus, max_perimeter, pool_size
-    ):
-        import multiprocessing
-
-        sizes = []
-
-        class RecordingPool:
-            """Records its size and maps in this process."""
-
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return None
-
-            def imap(self, func, iterable):
-                return map(func, iterable)
-
-        argv = ["verify", "--max-perimeter", max_perimeter]
-        assert cli.main(argv) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        assert cli.main(argv + ["--threads", str(threads)]) == 0
-        assert capsys.readouterr().out == serial
-        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_perimeters_taken_one_at_a_time(self, monkeypatch):
         class FirstCall(Exception):
@@ -365,6 +324,27 @@ class TestRender:
         )
         assert result.returncode == 1
 
+    def test_zero_margin_drawn_as_the_library_draws_it(self, capsys):
+        argv = ["render", "--base", "7", "--side", "6", "--area", "42", "--margin", "0"]
+        assert cli.main(argv) == 0
+        expected = render_svg(RenderSpec(Parallelogram(7, 6, 42), margin=0))
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--margin", "-1", "margin must be at least 0, got -1"),
+            ("--width", "0", "width must be at least 1, got 0"),
+            ("--height", "-5", "height must be at least 1, got -5"),
+        ],
+    )
+    def test_canvas_ranges_judged_by_the_library(self, capsys, flag, value, message):
+        code = cli.main(["render", "--base", "7", "--side", "6", "--area", "42", flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"amigram: error: {message}\n"
+
     @pytest.mark.parametrize("flag", ["--width", "--height"])
     def test_canvas_past_float_range_is_one_line(self, capsys, flag):
         code = cli.main(
@@ -395,6 +375,32 @@ class TestCommonBehavior:
     def test_zero_is_not_a_positive_int(self):
         result = run_cli("check", "--area", "0", "--perimeter", "8")
         assert result.returncode == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--area", "42", "--perimeter", "26"],
+            ["family", "--from", "4", "--to", "5"],
+            ["verify", "--max-perimeter", "8"],
+            ["enumerate", "--perimeter", "8"],
+            ["census", "--max-perimeter", "8"],
+            ["rectangles"],
+            ["witness", "--area", "10"],
+            ["render", "--base", "7", "--side", "6", "--area", "42"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_threads_checked_and_ignored(self, capsys, argv):
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr()
+        assert cli.main(argv + ["--threads", "64"]) == 0
+        assert capsys.readouterr() == plain
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--threads", "0"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err == "amigram: error: argument --threads: must be a positive integer, got 0\n"
 
     def test_missing_subcommand(self):
         result = run_cli()

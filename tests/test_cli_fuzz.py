@@ -8,8 +8,9 @@ to stdout and exactly one ``amigram: error:`` line to stderr; exits 0 and
 Values are valid, 0, negative, loose text or 5000 digits, and a flag may be
 missing or given twice.  Huge values are drawn only where the work does not
 grow with them (``check``, ``witness``, ``render``, and ``family --from``,
-whose ``--to`` stays small, so a huge start is an empty range); grid sizes
-stay at 60 or less and ``--threads`` at 2 or less.
+whose ``--to`` stays small, so a huge start is an empty range, and
+``--threads``, which every subcommand checks and then ignores); grid sizes
+stay at 60 or less.
 """
 
 import io
@@ -56,7 +57,7 @@ RARE = [0] * 15 + [1]
 
 COMMON = {
     "-o": (OUTPUTS, OPTIONAL),
-    "--threads": (values(st.integers(1, 2)), OPTIONAL),
+    "--threads": (values(SIZE, huge=True), OPTIONAL),
     "-h": (None, RARE),
 }
 SUBCOMMANDS = {

@@ -1,7 +1,7 @@
 """Fixed per-request costs must not change any answer.
 
-The CLI builds its parser once per process and imports ``multiprocessing``
-only when ``verify`` fans out; the wire form converts each integer once.
+The CLI builds its parser once per process and runs every subcommand in
+that process, ``--threads`` included; the wire form converts each integer once.
 Every in-process ``cli.main`` call must still answer as a fresh process
 does, and the wire text must stay the one the ``Fraction`` route produced.
 """
@@ -75,37 +75,17 @@ def test_repeated_main_calls_answer_as_fresh_processes(monkeypatch, capsys):
 
 def test_import_leaves_multiprocessing_out():
     code = (
-        "import sys, amigram.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+        "import os, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import amigram.cli as cli\n"
+        "with open(os.devnull, 'w') as sink, redirect_stdout(sink):\n"
+        "    assert cli.main(['verify', '--max-perimeter', '40', '--threads', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
-
-
-SPAWNED_MAIN = """
-import multiprocessing, sys
-from amigram.cli import main
-multiprocessing.set_start_method("spawn")
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-def test_threads_under_spawn_match_one_thread():
-    def verify(threads):
-        return subprocess.run(
-            [sys.executable, "-c", SPAWNED_MAIN, "verify", "--max-perimeter", "60",
-             "--threads", threads],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-
-    single, spawned = verify("1"), verify("2")
-    assert spawned.returncode == single.returncode == 0, spawned.stderr
-    assert spawned.stdout == single.stdout
-    assert "cells: 2360\n" in spawned.stdout
 
 
 def wire_by_fraction(shape):
