@@ -41,6 +41,7 @@ from math import isqrt
 from .core import (
     HeronianError,
     Parallelogram,
+    exceeds_product,
     int_to_decimal,
     rebind_frozen_slots,
     require_even_perimeter,
@@ -201,7 +202,8 @@ def companion_from_invariants(area: int, perimeter: int) -> Parallelogram:
     The companion base is area/4 when that is an integer, else the next
     integer up; its side is area/2 - base and its area is the perimeter.
     The constructor's own check perimeter <= base*side is exactly the
-    quadratic bound, i.e. the side spans the height perimeter/base.
+    quadratic bound, i.e. the side spans the height perimeter/base, and it
+    stays exact at any size, where it is settled by bit length.
     Raises :class:`NotAmicable` when no companion exists.
     """
     return _companion(decide(area, perimeter), area, perimeter)
@@ -332,12 +334,13 @@ def exists_heronian_with(area: int, perimeter: int) -> bool:
     """Is any Heronian parallelogram with this area and perimeter possible?
 
     Needs an even perimeter >= 4 and area at most the largest product of
-    two sides summing to perimeter/2, i.e. floor(P/4)*ceil(P/4).  Raises
-    :class:`NonIntegerDimension` for an argument that is not an int.
+    two sides summing to perimeter/2, i.e. floor(P/4)*ceil(P/4), a bound
+    settled by bit length at any size (see :func:`core.exceeds_product`).
+    Raises :class:`NonIntegerDimension` for an argument that is not an int.
     """
     require_int(area, "area")
     require_int(perimeter, "perimeter")
     if perimeter < 4 or perimeter % 2:
         return False
     half = perimeter // 2
-    return 1 <= area <= (half // 2) * ((half + 1) // 2)
+    return area >= 1 and not exceeds_product(area, half // 2, (half + 1) // 2)

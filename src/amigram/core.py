@@ -152,7 +152,10 @@ class Parallelogram:
 
     The constructor validates the data, so every reachable instance
     satisfies 1 <= area <= base*side, has an even perimeter, and has a
-    height (area/base) that is positive and at most the side.
+    height (area/base) that is positive and at most the side.  The bound is
+    exact at any size: large operands settle it by bit length (see
+    :func:`exceeds_product`) and form base*side only when the sizes are
+    within one bit of it.
     """
 
     base: int
@@ -172,7 +175,13 @@ class Parallelogram:
                 f"base, side, and area must be positive, got ({int_to_decimal(base)}, "
                 f"{int_to_decimal(side)}, {int_to_decimal(area)})"
             )
-        if area > base * side:
+        # Below 2**30 each operand is one CPython digit, and the product is
+        # cheaper than the bit lengths that would avoid it.
+        if (
+            area > base * side
+            if base < 2**30 and side < 2**30
+            else exceeds_product(area, base, side)
+        ):
             raise AreaOutOfRange(
                 f"area {int_to_decimal(area)} exceeds "
                 f"base*side = {int_to_decimal(base * side)}"
@@ -330,6 +339,23 @@ def _fraction_to_decimal(value: Fraction) -> str:
     if value.denominator == 1:
         return int_to_decimal(value.numerator)
     return f"{int_to_decimal(value.numerator)}/{int_to_decimal(value.denominator)}"
+
+
+def exceeds_product(x: int, a: int, b: int) -> bool:
+    """``x > a*b`` for a non-negative int x and positive ints a and b.
+
+    a*b has either bl(a) + bl(b) - 1 or bl(a) + bl(b) bits (bl is
+    ``int.bit_length``), so an x of any other bit length is settled without
+    the product, which at thousands of digits costs far more than the
+    comparison.  Only an x of one of those two lengths forms ``a * b``.
+    """
+    size = a.bit_length() + b.bit_length()
+    bits = x.bit_length()
+    if bits > size:
+        return True
+    if bits < size - 1:
+        return False
+    return x > a * b
 
 
 def require_int(value: object, name: str) -> None:

@@ -1,14 +1,16 @@
 """Each closed-form fast route against the literal search it replaced."""
 
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amigram import (
+    AreaOutOfRange,
     Parallelogram,
     amicable_rectangle_pairs,
     amicable_rectangle_pairs_exhaustive,
@@ -17,12 +19,15 @@ from amigram import (
     companion_from_invariants,
     count_amicable,
     count_amicable_exhaustive,
+    exists_heronian_with,
     fib,
     fib_iterative,
+    int_to_decimal,
     is_amicable_invariants,
     lucas,
     lucas_iterative,
 )
+from amigram.core import exceeds_product
 
 ORACLE_MAX_PERIMETER = 80
 
@@ -93,6 +98,91 @@ def test_companion_base_is_the_one_the_fraction_route_picked(area, perimeter):
     )
     assert companion_from_invariants(area, perimeter) == old
     assert base in companion_base_range(area, perimeter)
+
+
+def sized(min_bits=1, max_bits=15_000):
+    """Positive ints from min_bits to past 14,300 bits, where CPython's
+    4300-digit int/str limit lies, with every bit length in reach."""
+    return st.integers(min_value=min_bits, max_value=max_bits).flatmap(
+        lambda bits: st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1)
+    )
+
+
+def near_product(a, b):
+    """x at each boundary of x > a*b: a*b and 2**k for k = bl(a) + bl(b)
+    - 2, - 1 and + 0, each with both neighbours."""
+    size = a.bit_length() + b.bit_length()
+    centres = [a * b] + [1 << k for k in (size - 2, size - 1, size)]
+    return sorted({centre + step for centre in centres for step in (-1, 0, 1)})
+
+
+class NoProduct(int):
+    """An operand that fails the test if anything multiplies it."""
+
+    def __mul__(self, other):
+        raise AssertionError("product formed")
+
+    __rmul__ = __mul__
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=sized(), b=sized())
+@example(a=1, b=1)
+@example(a=2**14_400, b=2**14_400)
+def test_exceeds_product_forms_the_product_only_within_one_bit(a, b):
+    size = a.bit_length() + b.bit_length()
+    for x in near_product(a, b):
+        if x < 0:
+            continue
+        within_one_bit = x.bit_length() in (size - 1, size)
+        operands = (a, b) if within_one_bit else (NoProduct(a), NoProduct(b))
+        assert exceeds_product(x, *operands) is (x > a * b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=sized(), side=sized())
+@example(base=2**30 - 1, side=2**30 - 1)
+@example(base=2**30, side=1)
+@example(base=1, side=2**30)
+@example(base=3**9_000, side=2**14_400 + 1)
+def test_area_bound_matches_the_product_at_any_size(base, side):
+    product = base * side
+    for area in near_product(base, side):
+        if area < 1:
+            continue
+        if area <= product:
+            assert Parallelogram(base, side, area).area == area
+            continue
+        with pytest.raises(AreaOutOfRange) as refused:
+            Parallelogram(base, side, area)
+        assert str(refused.value) == (
+            f"area {int_to_decimal(area)} exceeds "
+            f"base*side = {int_to_decimal(product)}"
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(half=sized(min_bits=2))
+@example(half=2)
+@example(half=3)
+def test_heronian_existence_matches_the_literal_bound(half):
+    low, high = half // 2, (half + 1) // 2
+    cap = low * high
+    for area in [-1, 0, *near_product(low, high)]:
+        assert exists_heronian_with(area, 2 * half) is (1 <= area <= cap)
+
+
+def test_huge_operands_are_checked_without_their_product():
+    base = 1 << 3_999_999  # 4,000,000 bits, 488 KB
+    side = base + 1
+    tracemalloc.start()
+    try:
+        shape = Parallelogram(base, side, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shape.area == 1
+    assert peak < 50_000
 
 
 @pytest.mark.parametrize("max_side", [20, 200])
