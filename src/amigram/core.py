@@ -176,10 +176,12 @@ class Parallelogram:
                 f"{int_to_decimal(side)}, {int_to_decimal(area)})"
             )
         # Below 2**30 each operand is one CPython digit, and the product is
-        # cheaper than the bit lengths that would avoid it.
+        # cheaper than the bit lengths that would avoid it.  The bound is
+        # written 2**30 - 1 because a one-digit constant keeps these
+        # comparisons on the interpreter's fast path for small ints.
         if (
             area > base * side
-            if base < 2**30 and side < 2**30
+            if base <= 2**30 - 1 and side <= 2**30 - 1
             else exceeds_product(area, base, side)
         ):
             raise AreaOutOfRange(
