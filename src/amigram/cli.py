@@ -62,8 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    # argparse reports a plain ValueError as "invalid <function name> value";
-    # ArgumentTypeError makes it print the library's own message.
+    # The type of every integer flag the library sees: the CLI checks only
+    # decimal_to_int's grammar, and the library alone judges the range, with
+    # its own message.  argparse reports a plain ValueError as "invalid
+    # <function name> value"; ArgumentTypeError makes it print the library's.
     try:
         return decimal_to_int(text)
     except HeronianError as exc:
@@ -71,6 +73,7 @@ def _integer(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
+    # Only --threads is ranged here: no library function sees it.
     value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
@@ -198,31 +201,31 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common], help="amicability verdict for one shape")
-    p.add_argument("--area", type=_positive_int, required=True)
-    p.add_argument("--perimeter", type=_positive_int)
-    p.add_argument("--base", type=_positive_int)
-    p.add_argument("--side", type=_positive_int)
+    p.add_argument("--area", type=_integer, required=True)
+    p.add_argument("--perimeter", type=_integer)
+    p.add_argument("--base", type=_integer)
+    p.add_argument("--side", type=_integer)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("family", parents=[common], help="verify the Fibonacci-Lucas family")
-    p.add_argument("--from", dest="start", type=_positive_int, required=True)
-    p.add_argument("--to", dest="stop", type=_positive_int, required=True)
+    p.add_argument("--from", dest="start", type=_integer, required=True)
+    p.add_argument("--to", dest="stop", type=_integer, required=True)
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser(
         "verify", parents=[common], help="closed form vs brute force over a grid"
     )
-    p.add_argument("--max-perimeter", type=_positive_int, required=True)
+    p.add_argument("--max-perimeter", type=_integer, required=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("enumerate", parents=[common], help="list shapes with one perimeter")
-    p.add_argument("--perimeter", type=_positive_int, required=True)
+    p.add_argument("--perimeter", type=_integer, required=True)
     p.add_argument("--amicable-only", action="store_true")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("census", parents=[common], help="per-perimeter amicability tallies")
-    p.add_argument("--max-perimeter", type=_positive_int, required=True)
+    p.add_argument("--max-perimeter", type=_integer, required=True)
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser(
@@ -232,14 +235,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("witness", parents=[common], help="a non-amicable shape on demand")
     given = p.add_mutually_exclusive_group(required=True)
-    given.add_argument("--area", type=_positive_int)
-    given.add_argument("--perimeter", type=_positive_int)
+    given.add_argument("--area", type=_integer)
+    given.add_argument("--perimeter", type=_integer)
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("render", parents=[common], help="SVG diagram of a shape")
-    p.add_argument("--base", type=_positive_int, required=True)
-    p.add_argument("--side", type=_positive_int, required=True)
-    p.add_argument("--area", type=_positive_int, required=True)
+    p.add_argument("--base", type=_integer, required=True)
+    p.add_argument("--side", type=_integer, required=True)
+    p.add_argument("--area", type=_integer, required=True)
     p.add_argument("--companion", action="store_true")
     p.add_argument("--width", type=_integer, default=640)
     p.add_argument("--height", type=_integer, default=360)
@@ -267,7 +270,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if not isinstance(exc, BrokenPipeError):
             raise
         # The reader closed stdout (`| head`): stop quietly, last flush to devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

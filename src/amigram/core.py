@@ -242,8 +242,12 @@ class Parallelogram:
 
     @property
     def is_rectangle(self) -> bool:
-        """True iff the height equals the side, i.e. area == base*side."""
-        return self.area == self.base * self.side
+        """True iff the height equals the side, i.e. area == base*side.
+
+        The constructor guarantees area <= base*side, so this is
+        area + 1 > base*side, which large shapes settle by bit length.
+        """
+        return exceeds_product(self.area + 1, self.base, self.side)
 
     @property
     def canonical_key(self) -> CanonicalKey:
@@ -294,8 +298,8 @@ class Parallelogram:
         side = _json_int(data, "side")
         area = _json_int(data, "area")
         shape = cls(base, side, area)
-        height = data.get("height")
-        if height is not None:
+        if "height" in data:
+            height = data["height"]
             if not isinstance(height, dict):
                 raise HeronianError("height field must be an object with num and den")
             # A height already in lowest terms repeats the area and base

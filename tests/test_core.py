@@ -84,7 +84,23 @@ class TestDerivedQuantities:
 
     @pytest.mark.parametrize(
         "triple,expect",
-        [((7, 6, 42), True), ((8, 13, 26), False), ((4, 4, 16), True)],
+        [
+            ((7, 6, 42), True),
+            ((8, 13, 26), False),
+            ((4, 4, 16), True),
+            # area at base*side and one below, for a product of one bit
+            # fewer than bl(base) + bl(side), of exactly that many, and a
+            # power of two
+            ((2**30 - 1, 2**30 + 1, 2**60 - 1), True),
+            ((2**30 - 1, 2**30 + 1, 2**60 - 2), False),
+            ((2**31 - 1, 2**31 - 1, (2**31 - 1) ** 2), True),
+            ((2**31 - 1, 2**31 - 1, (2**31 - 1) ** 2 - 1), False),
+            ((2**30, 2**30, 2**60), True),
+            ((2**30, 2**30, 2**60 - 1), False),
+            ((3**9000, 2**14_400 + 1, 3**9000 * (2**14_400 + 1)), True),
+            ((3**9000, 2**14_400 + 1, 3**9000 * (2**14_400 + 1) - 1), False),
+            ((3**9000, 2**14_400 + 1, 1), False),
+        ],
     )
     def test_is_rectangle(self, triple, expect):
         assert Parallelogram(*triple).is_rectangle is expect

@@ -151,7 +151,9 @@ def test_area_bound_matches_the_product_at_any_size(base, side):
         if area < 1:
             continue
         if area <= product:
-            assert Parallelogram(base, side, area).area == area
+            shape = Parallelogram(base, side, area)
+            assert shape.area == area
+            assert shape.is_rectangle is (area == product)
             continue
         with pytest.raises(AreaOutOfRange) as refused:
             Parallelogram(base, side, area)
@@ -178,10 +180,12 @@ def test_huge_operands_are_checked_without_their_product():
     tracemalloc.start()
     try:
         shape = Parallelogram(base, side, 1)
+        rectangle = shape.is_rectangle
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert shape.area == 1
+    assert rectangle is False
     assert peak < 50_000
 
 

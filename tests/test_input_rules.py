@@ -5,6 +5,7 @@ JSON alike; range rules raise :class:`HeronianError` from the library; the
 CLI reports any rejection, argparse's included, as one stderr line.
 """
 
+import argparse
 import math
 import re
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amigram.cli as cli
 from amigram import (
     HeronianError,
     IndexTooSmall,
@@ -71,6 +73,54 @@ class TestIntegerGrammar:
                 decimal_to_int(text)
 
 
+# Every integer flag the library sees, at zero and below, with the message
+# it gets: the CLI checks only the grammar, so the message is the library's.
+LIBRARY_MESSAGES = [
+    (["check", "--area", "0", "--perimeter", "8"],
+     "no Heronian parallelogram has area 0 and perimeter 8"),
+    (["check", "--area", "-42", "--perimeter", "26"],
+     "no Heronian parallelogram has area -42 and perimeter 26"),
+    (["check", "--area", "42", "--perimeter", "0"],
+     "perimeter must be an even integer >= 4, got 0"),
+    (["check", "--area", "42", "--perimeter", "-26"],
+     "perimeter must be an even integer >= 4, got -26"),
+    (["check", "--base", "7", "--side", "6", "--area", "0"],
+     "base, side, and area must be positive, got (7, 6, 0)"),
+    (["check", "--base", "0", "--side", "6", "--area", "42"],
+     "base, side, and area must be positive, got (0, 6, 42)"),
+    (["check", "--base", "7", "--side", "0", "--area", "42"],
+     "base, side, and area must be positive, got (7, 0, 42)"),
+    (["check", "--base", "7", "--side", "-6", "--area", "42"],
+     "base, side, and area must be positive, got (7, -6, 42)"),
+    (["family", "--from", "0", "--to", "5"],
+     "family is defined for n >= 4, got 0"),
+    (["family", "--from", "-4", "--to", "5"],
+     "family is defined for n >= 4, got -4"),
+    (["family", "--from", "4", "--to", "0"],
+     "empty range: stop 0 is below start 4"),
+    (["family", "--from", "0", "--to", "0"],
+     "family is defined for n >= 4, got 0"),
+    (["verify", "--max-perimeter", "0"],
+     "perimeter must be an even integer >= 4, got 0"),
+    (["verify", "--max-perimeter", "-400"],
+     "perimeter must be an even integer >= 4, got -400"),
+    (["enumerate", "--perimeter", "0"],
+     "perimeter must be an even integer >= 4, got 0"),
+    (["census", "--max-perimeter", "0"],
+     "perimeter must be an even integer >= 4, got 0"),
+    (["witness", "--area", "0"], "area must be positive, got 0"),
+    (["witness", "--area", "-2"], "area must be positive, got -2"),
+    (["witness", "--perimeter", "0"],
+     "perimeter must be an even integer >= 4, got 0"),
+    (["render", "--base", "0", "--side", "6", "--area", "42"],
+     "base, side, and area must be positive, got (0, 6, 42)"),
+    (["render", "--base", "7", "--side", "0", "--area", "42"],
+     "base, side, and area must be positive, got (7, 0, 42)"),
+    (["render", "--base", "7", "--side", "6", "--area", "0"],
+     "base, side, and area must be positive, got (7, 6, 0)"),
+]
+
+
 class TestOneLineRejections:
     @pytest.mark.parametrize(
         "argv",
@@ -97,6 +147,32 @@ class TestOneLineRejections:
         assert result.stderr.startswith("amigram: error:")
         assert result.stderr.count("\n") == 1
         assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        LIBRARY_MESSAGES,
+        ids=[" ".join(argv) for argv, _ in LIBRARY_MESSAGES],
+    )
+    def test_zero_or_negative_flag_gets_the_library_message(self, argv, message, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"amigram: error: {message}\n"
+
+    def test_only_threads_is_ranged_by_the_cli(self):
+        # Any other integer flag reaches the library, which judges its range.
+        sub = next(
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        ranged = {
+            (name, option)
+            for name, parser in sub.choices.items()
+            for action in parser._actions
+            if action.type is cli._positive_int
+            for option in action.option_strings
+        }
+        assert ranged == {(name, "--threads") for name in sub.choices}
 
     def test_bad_integer_flag_carries_the_grammar(self):
         # argparse used to name the type function: "invalid _positive_int value"

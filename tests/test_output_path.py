@@ -53,6 +53,9 @@ REJECTED = [
     ["census", "--max-perimeter", "7"],
     ["family", "--from", "10", "--to", "5"],
     ["check", "--area", "1000000000", "--perimeter", "26"],
+    ["verify", "--max-perimeter", "0"],
+    ["witness", "--area", "0"],
+    ["render", "--base", "7", "--side", "6", "--area", "0"],
 ]
 
 
@@ -102,3 +105,31 @@ def test_short_report_into_a_closed_pipe_ends_quietly(unbuffered):
         os.close(write_end)
     assert result.returncode == 0
     assert result.stderr == b""
+
+
+# Runs in a child whose stdout is a pipe with no reader, and reports the
+# descriptors that cli.main left open.
+_COUNT_OPEN_DESCRIPTORS = """
+import os, sys
+import amigram.cli as cli
+before = set(os.listdir("/proc/self/fd"))
+code = cli.main(["check", "--area", "42", "--perimeter", "26"])
+after = set(os.listdir("/proc/self/fd"))
+sys.stderr.write(f"{code} {sorted(after - before)}")
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_pipe_leaves_no_descriptor_open():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", _COUNT_OPEN_DESCRIPTORS],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0
+    assert result.stderr == b"0 []"

@@ -72,6 +72,7 @@ class TestStrictJson:
             {"num": "13"},
             {"num": "13", "den": 4.0},
             "13/4",
+            None,
         ],
     )
     def test_bad_height_rejected(self, height):
