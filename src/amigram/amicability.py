@@ -11,8 +11,9 @@ least its height P/b, the quadratic bound b*(A/2 - b) >= P.  The product
 b*(A/2 - b) peaks at b = A/4 with value (A/4)^2, giving the closed form; an
 integer b at or next to the peak always works when the closed form holds,
 which is how :func:`companion_from_invariants` builds its witness.  The
-bases that work form one interval around the peak, which
-:func:`companion_base_range` finds with an integer square root.
+bases that work form one interval around the peak:
+:func:`companion_base_range` reads it off :func:`core.splits_at_least`,
+the one place that interval is solved.
 
 :func:`closed_form` is the one place that rule is written, for a positive
 int area and a checked perimeter.  :func:`decide` is its checked entry: it
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
 
 from .core import (
     HeronianError,
@@ -48,6 +48,7 @@ from .core import (
     require_int,
     require_positive_area,
     slot_setters,
+    splits_at_least,
 )
 
 
@@ -276,27 +277,14 @@ def companion_scan(area: int, perimeter: int) -> bool:
 def companion_base_range(area: int, perimeter: int) -> range:
     """Every companion base for an (area, perimeter) pair, as a range.
 
-    The bases are the integers b with b*(area/2 - b) >= perimeter: the
-    interval between the roots of b^2 - (area/2)*b + perimeter, symmetric
-    about area/4.  Its lower end is read off the integer square root of the
-    discriminant and then settled by exact checks on the integers next to
-    it, so the range is exact at any size.  Empty iff not amicable.
+    The bases are the integers b with b*(area/2 - b) >= perimeter, the
+    splits of area/2 that :func:`core.splits_at_least` returns: one
+    interval symmetric about area/4, exact at any size.  Empty iff not
+    amicable.
     """
     if decide(area, perimeter) is not _OK:
         return range(0)
-    return _base_range(area, perimeter)
-
-
-def _base_range(area: int, perimeter: int) -> range:
-    """Every companion base for a pair the rule found amicable."""
-    half = area // 2
-    # isqrt is at most 1 below the real root, so this is the least base or
-    # one above it.  A base exists: area^2 >= 16*perimeter puts the integer
-    # at or next to area/4 on or above the bound.
-    low = (half - isqrt(half * half - 4 * perimeter) + 1) // 2
-    if (low - 1) * (half - low + 1) >= perimeter:
-        low -= 1
-    return range(low, half - low + 1)
+    return splits_at_least(area // 2, perimeter)
 
 
 def companion_bases_exhaustive(area: int, perimeter: int) -> list[int]:
@@ -317,12 +305,21 @@ def all_companion_bases(shape: Parallelogram) -> list[int]:
 
     Each listed b yields a valid companion with height perimeter/b and side
     area/2 - b.  The constructor has checked the shape, so this runs the
-    bare rule.
+    bare rule.  A shape with more bases than a list can hold raises
+    :class:`HeronianError`; :func:`companion_base_range` gives them at any
+    size.
     """
     area, perimeter = shape.area, shape.perimeter
     if closed_form(area, perimeter) is not _OK:
         return []
-    return list(_base_range(area, perimeter))
+    bases = splits_at_least(area // 2, perimeter)
+    try:
+        return list(bases)
+    except OverflowError:  # the range's length is past sys.maxsize
+        raise HeronianError(
+            "too many companion bases for a list; "
+            "companion_base_range(area, perimeter) gives them as a range"
+        ) from None
 
 
 def is_self_amicable(shape: Parallelogram) -> bool:

@@ -27,6 +27,7 @@ from .core import (
     require_even_perimeter,
     require_int,
     require_positive_area,
+    splits_at_least,
 )
 
 CSV_HEADER = "short_side,long_side,area,perimeter,amicable,self_amicable"
@@ -127,11 +128,12 @@ def enumerate_by_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
 
 
 def _shapes_with_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
+    # The short sides that carry the area are the splits of perimeter/2 from
+    # the least one with short*long >= area up to the middle.
     for perimeter in range(4, max_perimeter + 1, 2):
         half = perimeter // 2
-        for short in range(1, half // 2 + 1):
-            if area <= short * (half - short):
-                yield Parallelogram(short, half - short, area)
+        for short in range(splits_at_least(half, area).start, half // 2 + 1):
+            yield Parallelogram(short, half - short, area)
 
 
 def census_row(shape: Parallelogram) -> CensusRow:
@@ -205,10 +207,13 @@ def non_amicable_witness_area(area: int) -> Parallelogram:
     amicable.
 
     Odd areas fail on parity alone, so the flat strip (area, 1, area)
-    works.  For even areas the side is padded until the perimeter is too
-    large for the quadratic bound, i.e. area^2 < 16*perimeter; the smallest
-    padding that forces the failure is used, and the failure is re-checked
-    here rather than trusted.
+    works.  For even areas the base is the area and the side is
+    max(1, area^2//32 - area + 2), which makes the perimeter
+    2*(area + side) too large for the quadratic bound: area^2 <
+    16*perimeter.  That side is not the least that fails: with this base,
+    max(1, area^2//32 - area + 1) already does (area 42: side 14, where
+    the witness has side 15), but the witness is kept as it has always
+    been.  The failure is re-checked here rather than trusted.
     """
     require_positive_area(area)
     if area % 2:

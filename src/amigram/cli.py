@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .amicability import (
@@ -252,14 +252,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Characters per write in main; a batch ends at the first line that reaches it.
+_BATCH_CHARS = 65536
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, lines = args.handler(args)
-        lines = iter(lines)
         with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as out:
-            # One write per 1024 lines: unbuffered stdout (python -u) makes each a system call.
-            while batch := list(islice(lines, 1024)):
+            # Lines go out in batches of about _BATCH_CHARS characters:
+            # unbuffered stdout (python -u) makes each write a system call,
+            # and a batch bounded by characters stays small however long
+            # the lines are.
+            batch, size = [], 0
+            for line in lines:
+                batch.append(line)
+                size += len(line) + 1
+                if size >= _BATCH_CHARS:
+                    out.write("\n".join(batch) + "\n")
+                    batch, size = [], 0
+            if batch:
                 out.write("\n".join(batch) + "\n")
             out.flush()  # a closed pipe shows here, not at exit
     except HeronianError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 # CPython refuses int<->str conversions of more than 4300 digits by default,
@@ -362,6 +362,32 @@ def exceeds_product(x: int, a: int, b: int) -> bool:
     if bits < size - 1:
         return False
     return x > a * b
+
+
+def splits_at_least(half: int, bound: int) -> range:
+    """Every a with a*(half - a) >= bound, for ints half >= 2 and bound >= 1.
+
+    The splits a + (half - a) = half whose product reaches the bound form
+    one interval between the roots of a^2 - half*a + bound, symmetric about
+    half/2.  This is the paper's quadratic bound: with half = A/2 and
+    bound = P it gives the companion bases of an (A, P) pair, and with
+    half = P/2 and bound = A the short sides that can carry area A at
+    perimeter P.  The lower end is read off the integer square root of the
+    discriminant and settled by one exact check, so the range is exact at
+    any size.  When no split reaches the bound the range is empty and
+    starts at half // 2 + 1, one past the middle split, so a walk from its
+    start up to the middle is empty too.
+    """
+    disc = half * half - 4 * bound
+    if disc < 0:
+        return range(half // 2 + 1, half // 2 + 1)
+    # isqrt is at most 1 below the real root, so this is the least split or
+    # one above it.  One exists: disc >= 0 puts the integer at or next to
+    # half/2 on or above the bound.
+    low = (half - isqrt(disc) + 1) // 2
+    if (low - 1) * (half - low + 1) >= bound:
+        low -= 1
+    return range(low, half - low + 1)
 
 
 def require_int(value: object, name: str) -> None:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amigram import (
+    HeronianError,
     InvalidPerimeter,
     NotAmicable,
     Parallelogram,
@@ -14,6 +16,7 @@ from amigram import (
     classify,
     classify_invariants,
     companion,
+    companion_base_range,
     companion_exists_bruteforce,
     companion_from_invariants,
     exists_heronian_with,
@@ -146,6 +149,14 @@ class TestCompanionBases:
     def test_empty_for_non_amicable(self):
         assert all_companion_bases(Parallelogram(3, 4, 9)) == []
         assert all_companion_bases(Parallelogram(4, 5, 2)) == []
+
+    def test_more_bases_than_a_list_holds_is_refused(self):
+        side = 10**4000
+        shape = Parallelogram(side, side, 2 * side)  # (2s)^2 >= 16 * 4s
+        bases = companion_base_range(shape.area, shape.perimeter)
+        assert bases.stop - bases.start > sys.maxsize
+        with pytest.raises(HeronianError, match="companion_base_range"):
+            all_companion_bases(shape)
 
 
 class TestSelfAmicable:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from amigram import (
     CSV_HEADER,
@@ -78,6 +80,21 @@ class TestEnumerateByPerimeter:
             census_rows(perimeter)
 
 
+@pytest.fixture(scope="module")
+def shapes_with_area():
+    """The oracle: every shape with perimeter up to 120 and a given area, in
+    enumerate_by_perimeter's order.
+
+    A function rather than the table, as hypothesis formats each argument
+    of every example and the table's text runs to megabytes.
+    """
+    by_area = {}
+    for perimeter in range(4, 121, 2):
+        for shape in enumerate_by_perimeter(perimeter):
+            by_area.setdefault(shape.area, []).append(shape)
+    return lambda area: by_area.get(area, [])
+
+
 class TestEnumerateByArea:
     def test_area_42_up_to_30(self):
         shapes = list(enumerate_by_area(42, 30))
@@ -92,15 +109,22 @@ class TestEnumerateByArea:
             Parallelogram(7, 8, 42),
         ]
 
-    def test_matches_filtered_perimeter_enumeration(self):
-        expect = [
-            s.canonical_key
-            for p in range(4, 61, 2)
-            for s in enumerate_by_perimeter(p)
-            if s.area == 17
-        ]
-        got = [s.canonical_key for s in enumerate_by_area(17, 60)]
-        assert got == expect
+    @settings(max_examples=300, deadline=None)
+    @given(
+        area=st.integers(min_value=1, max_value=1000),
+        max_perimeter=st.integers(min_value=2, max_value=60).map(lambda k: 2 * k),
+    )
+    # The largest area a perimeter carries, floor(P/4)*ceil(P/4), and one above.
+    @example(area=900, max_perimeter=120)
+    @example(area=901, max_perimeter=120)
+    @example(area=240, max_perimeter=62)
+    @example(area=241, max_perimeter=62)
+    @example(area=1, max_perimeter=4)
+    def test_matches_filtered_perimeter_enumeration(
+        self, shapes_with_area, area, max_perimeter
+    ):
+        expect = [s for s in shapes_with_area(area) if s.perimeter <= max_perimeter]
+        assert list(enumerate_by_area(area, max_perimeter)) == expect
 
     def test_bad_arguments(self):
         with pytest.raises(ZeroDimension):

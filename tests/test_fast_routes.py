@@ -27,7 +27,7 @@ from amigram import (
     lucas,
     lucas_iterative,
 )
-from amigram.core import exceeds_product
+from amigram.core import exceeds_product, splits_at_least
 
 ORACLE_MAX_PERIMETER = 80
 
@@ -85,6 +85,53 @@ def test_base_range_endpoints_on_huge_inputs(invariants):
 
     assert fits(bases[0]) and fits(bases[-1])
     assert not fits(bases[0] - 1) and not fits(bases[-1] + 1)
+
+
+@pytest.mark.parametrize("half", range(2, 200))
+def test_splits_match_the_literal_list(half):
+    # Every bound from 1 to two past the peak product floor(half^2/4).
+    products = [a * (half - a) for a in range(1, half)]
+    for bound in range(1, half * half // 4 + 3):
+        splits = splits_at_least(half, bound)
+        assert list(splits) == [a for a, p in enumerate(products, 1) if p >= bound]
+        if not splits:
+            assert splits.start == half // 2 + 1
+
+
+@st.composite
+def huge_splits(draw):
+    """(half, bound) with half up to 5000 digits; half the bounds lie within
+    3 of the peak product floor(half^2/4), on either side of it."""
+    digits = draw(st.integers(min_value=1, max_value=5000))
+    half = draw(st.integers(min_value=2, max_value=10**digits))
+    peak = half * half // 4
+    if draw(st.booleans()):
+        bound = max(1, peak + draw(st.integers(min_value=-3, max_value=3)))
+    else:
+        bound = draw(st.integers(min_value=1, max_value=peak))
+    return half, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(huge_splits())
+@example((2, 1))
+@example((3, 2))
+@example((3, 3))
+def test_split_endpoints_on_huge_inputs(splits_case):
+    half, bound = splits_case
+    splits = splits_at_least(half, bound)
+
+    def fits(a):
+        return a * (half - a) >= bound
+
+    if bound > half * half // 4:
+        assert not splits and splits.start == half // 2 + 1
+        return
+    first, last = splits.start, splits.stop - 1
+    assert first <= last
+    assert fits(first) and fits(last)
+    assert not fits(first - 1) and not fits(last + 1)
+    assert first + last == half  # symmetric about half/2
 
 
 @settings(max_examples=300)

@@ -48,6 +48,29 @@ def test_enumerate_streams_at_flat_memory(fmt, perimeter):
     assert peak < 1_000_000
 
 
+class _RecordWrites(io.TextIOBase):
+    """A text sink that keeps the size of each write and the longest line."""
+
+    def __init__(self):
+        self.sizes = []
+        self.longest_line = 0
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        self.longest_line = max(self.longest_line, *map(len, text.split("\n")))
+        return len(text)
+
+
+def test_writes_are_bounded_by_characters():
+    # family's lines grow with the index: at --to 1500 the longest is about
+    # 4.4 KB, so 1024 of them would make one write of megabytes.
+    sink = _RecordWrites()
+    with redirect_stdout(sink):
+        assert cli.main(["family", "--from", "4", "--to", "1500"]) == 0
+    assert sum(sink.sizes) > 1_000_000
+    assert max(sink.sizes) <= 65_536 + sink.longest_line + 1
+
+
 REJECTED = [
     ["enumerate", "--perimeter", "7"],
     ["census", "--max-perimeter", "7"],
