@@ -16,9 +16,11 @@ bases that work form one interval around the peak:
 the one place that interval is solved.
 
 :func:`closed_form` is the one place that rule is written, for a positive
-int area and a checked perimeter.  :func:`decide` is its checked entry: it
-refuses a bad perimeter, then a bad area, then returns the rule.  Routes
-on checked data call the rule directly: :func:`classify`,
+int area and a checked perimeter, and :func:`least_amicable_area` solves it
+for the least area A0 it passes at a perimeter, the threshold a census
+counts from.  :func:`decide` is its checked entry: it refuses a bad
+perimeter, then a bad area, then returns the rule.  Routes on checked
+data call the rule directly: :func:`classify`,
 :func:`is_amicable`, :func:`companion` and :func:`all_companion_bases`,
 whose shape the ``Parallelogram`` constructor validated, and
 :func:`classify_invariants` once :func:`exists_heronian_with` has passed
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 
 from .core import (
     HeronianError,
@@ -124,6 +127,17 @@ def closed_form(area: int, perimeter: int) -> Reason:
     if area * area < 16 * perimeter:
         return _BOUND_FAIL
     return _OK
+
+
+def least_amicable_area(perimeter: int) -> int:
+    """A0, the least area that :func:`closed_form` passes at this perimeter.
+
+    The least even A = 2k with A^2 >= 16*P has k^2 >= 4*P, so
+    k = ceil(sqrt(4*P)) = isqrt(4*P - 1) + 1; every even area from A0 up
+    is amicable and none below it.  Checks nothing: the perimeter must be
+    an even int >= 4.
+    """
+    return 2 * (isqrt(4 * perimeter - 1) + 1)
 
 
 def decide(area: int, perimeter: int) -> Reason:

@@ -7,6 +7,16 @@ area or perimeter, and re-derives from scratch the amicable rectangle
 pairs (rectangles where the area of each equals the perimeter of the
 other) by bounded brute force.
 
+The census is counted, not enumerated.  By the paper's condition (A even
+and A^2 >= 16*P) the amicable areas of a perimeter are the even areas from
+A0 = :func:`amicability.least_amicable_area` up, and each side split
+a + (h - a) = h = P/2 carries the areas 1..a(h - a).  So every tally of a
+perimeter counts integers over the splits from one end of an interval of
+:func:`core.splits_at_least` to the middle split, and sums of a(h - a)
+over such splits have a closed form: :func:`perimeter_counts` is one row
+in O(1) arithmetic, :func:`count_amicable` is the list of them, and the
+``census`` command streams them.
+
 The census and the rectangle search each have a fast route and keep the
 literal search they replaced (:func:`count_amicable_exhaustive`,
 :func:`amicable_rectangle_pairs_exhaustive`) as its test oracle.
@@ -19,7 +29,7 @@ from itertools import count
 from math import isqrt
 from typing import Iterator
 
-from .amicability import Reason, closed_form, is_amicable_invariants, is_self_amicable
+from .amicability import Reason, closed_form, is_amicable, is_self_amicable, least_amicable_area
 from .core import (
     Parallelogram,
     int_to_decimal,
@@ -159,30 +169,58 @@ def census_rows(perimeter: int) -> Iterator[CensusRow]:
     return map(census_row, enumerate_by_perimeter(perimeter))
 
 
-def count_amicable(max_perimeter: int) -> list[PerimeterCounts]:
-    """Per-perimeter tallies over every perimeter from 4 to ``max_perimeter``.
+def _split_products(half: int, k: int) -> int:
+    # Sum of a*(half - a) for a = 1..k: half*k(k+1)/2 - k(k+1)(2k+1)/6.
+    return k * (k + 1) * (3 * half - 2 * k - 1) // 6
 
-    Counted in closed form, one side split a + s = P/2 at a time, without
-    building any shape.  The split has areas 1..a*s.  The amicable ones are
-    the even areas from A0 up, where A0 is the least even A with
-    A^2 >= 16*P: floor(a*s/2) - A0/2 + 1 of them when a*s >= A0.  The one
-    self-amicable area, A = P, occurs iff a*s >= P.
+
+def perimeter_counts(perimeter: int) -> PerimeterCounts:
+    """Census tallies for one perimeter, in closed form, without building a
+    shape or walking a side split.
+
+    With h = P/2, the splits a + (h - a) = h for a = 1..m, m = floor(h/2),
+    carry the areas 1..a(h - a), so the total is T(m), where
+    T(k) = sum of a(h - a) over a = 1..k = k(k+1)(3h - 2k - 1)/6.  The
+    amicable areas of a split are the even ones from A0 =
+    :func:`least_amicable_area` up, floor(a(h - a)/2) - A0/2 + 1 of them,
+    for the splits from a0, the least with a(h - a) >= A0, to m.  Summing,
+    the floors lose 1/2 for each odd product, and a(h - a) is odd only for
+    odd a when h is even, so with ``odd`` the odd a in [a0, m]:
+    amicable = (T(m) - T(a0 - 1) - odd)/2 - (m - a0 + 1)(A0/2 - 1).  The one
+    self-amicable area, A = P, lies on the splits from aP, the least with
+    a(h - a) >= P, to m: m + 1 - aP of them.  a0 and aP are the starts of
+    :func:`core.splits_at_least`; an empty interval starts at m + 1 and
+    counts 0.  Raises :class:`InvalidPerimeter` on a bad perimeter.
+    """
+    require_even_perimeter(perimeter)
+    half = perimeter // 2
+    middle = half // 2
+    least = least_amicable_area(perimeter)
+    first = splits_at_least(half, least).start
+    total = _split_products(half, middle)
+    odd = (middle + 1) // 2 - first // 2 if half % 2 == 0 else 0
+    halves = (total - _split_products(half, first - 1) - odd) // 2
+    amicable = halves - (middle - first + 1) * (least // 2 - 1)
+    self_amicable = middle + 1 - splits_at_least(half, perimeter).start
+    return PerimeterCounts(perimeter, total, amicable, self_amicable)
+
+
+def count_amicable(max_perimeter: int) -> list[PerimeterCounts]:
+    """Per-perimeter tallies over every perimeter from 4 to ``max_perimeter``:
+    the :func:`perimeter_counts` row of each, O(1) arithmetic per perimeter.
+
+    With h = P/2, m = floor(h/2), T(k) = k(k+1)(3h - 2k - 1)/6 the sum of
+    the split products a(h - a) over a = 1..k, A0 the least amicable area
+    and a0, aP the least splits whose product reaches A0 and P, a row is
+    total = T(m), amicable = (T(m) - T(a0 - 1) - odd)/2
+    - (m - a0 + 1)(A0/2 - 1), where odd counts the odd products among the
+    splits a0..m, and self_amicable = m + 1 - aP (derived at
+    :func:`perimeter_counts`).  No shape is built and no split is walked.
+    Its oracle is :func:`count_amicable_exhaustive`, which builds every
+    shape and decides each one.
     """
     require_even_perimeter(max_perimeter)
-    table = []
-    for perimeter in range(4, max_perimeter + 1, 2):
-        half = perimeter // 2
-        least = isqrt(16 * perimeter - 1) + 1  # least A with A^2 >= 16*P
-        least += least % 2
-        total = amicable = self_amicable = 0
-        for short in range(1, half // 2 + 1):
-            top = short * (half - short)
-            total += top
-            if top >= least:
-                amicable += top // 2 - least // 2 + 1
-            self_amicable += top >= perimeter
-        table.append(PerimeterCounts(perimeter, total, amicable, self_amicable))
-    return table
+    return list(map(perimeter_counts, range(4, max_perimeter + 1, 2)))
 
 
 def count_amicable_exhaustive(max_perimeter: int) -> list[PerimeterCounts]:
@@ -220,7 +258,7 @@ def non_amicable_witness_area(area: int) -> Parallelogram:
         return Parallelogram(area, 1, area)
     side = max(1, area * area // 32 - area + 2)
     shape = Parallelogram(area, side, area)
-    if is_amicable_invariants(area, shape.perimeter):
+    if is_amicable(shape):
         raise AssertionError(f"witness for area {int_to_decimal(area)} is amicable")
     return shape
 
@@ -275,11 +313,11 @@ def _rectangle_pairs(max_short: int, max_side: int) -> list[RectanglePair]:
             if disc < 0:
                 continue
             root = isqrt(disc)
-            if root * root != disc or (side_sum - root) % 2:
+            if root * root != disc:
                 continue
+            # root^2 = disc = side_sum^2 - 8(a + b) makes root < side_sum and
+            # of its parity, so c below is an integer >= 1.
             c = (side_sum - root) // 2
-            if c < 1:
-                continue
             d = (side_sum + root) // 2
             key = tuple(sorted([(a, b), (c, d)]))
             found.setdefault(key, RectanglePair(key[0], key[1]))
@@ -288,13 +326,15 @@ def _rectangle_pairs(max_short: int, max_side: int) -> list[RectanglePair]:
 
 def smallest_amicable() -> Parallelogram:
     """The amicable parallelogram minimizing (perimeter, area, shorter
-    side), found by sweeping perimeters from 4 upward."""
+    side), found by sweeping perimeters from 4 upward.
+
+    The least amicable area at a perimeter is A0, carried first by the
+    least split a0 with a0*(h - a0) >= A0, so the answer is
+    (a0, h - a0, A0) at the first perimeter where a0 <= floor(h/2).
+    """
     for perimeter in count(4, 2):
-        hits = [
-            shape
-            for shape in enumerate_by_perimeter(perimeter)
-            if closed_form(shape.area, perimeter) is _OK
-        ]
-        if hits:
-            return min(hits, key=lambda shape: (shape.area, shape.base))
+        half = perimeter // 2
+        least = least_amicable_area(perimeter)
+        for short in splits_at_least(half, least):  # a0, if any split reaches A0
+            return Parallelogram(short, half - short, least)
     raise AssertionError("unreachable")

@@ -33,9 +33,9 @@ from .census import (
     CensusRow,
     amicable_rectangle_pairs,
     census_rows,
-    count_amicable,
     non_amicable_witness_area,
     non_amicable_witness_perimeter,
+    perimeter_counts,
 )
 from .core import (
     HeronianError,
@@ -149,10 +149,11 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_census(args) -> tuple[int, Iterable[str]]:
-    table = count_amicable(args.max_perimeter)
+    require_even_perimeter(args.max_perimeter)  # before the first line
+    counts = map(perimeter_counts, range(4, args.max_perimeter + 1, 2))
     return 0, chain(
         ["perimeter,total,amicable,self_amicable"],
-        (f"{c.perimeter},{c.total},{c.amicable},{c.self_amicable}" for c in table),
+        (f"{c.perimeter},{c.total},{c.amicable},{c.self_amicable}" for c in counts),
     )
 
 

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from amigram import (
     AreaOutOfRange,
     Parallelogram,
+    PerimeterCounts,
+    Reason,
     amicable_rectangle_pairs,
     amicable_rectangle_pairs_exhaustive,
     companion_base_range,
@@ -27,6 +29,8 @@ from amigram import (
     lucas,
     lucas_iterative,
 )
+from amigram.amicability import closed_form, least_amicable_area
+from amigram.census import perimeter_counts
 from amigram.core import exceeds_product, splits_at_least
 
 ORACLE_MAX_PERIMETER = 80
@@ -45,6 +49,63 @@ def test_census_matches_exhaustive_sweep_to_80():
 def test_census_prefix_matches_exhaustive_sweep(half):
     table = count_amicable(2 * half)
     assert table == exhaustive_census()[: len(table)]
+
+
+def split_loop_counts(perimeters):
+    """The loop count_amicable ran before its closed form, one side split
+    at a time, kept verbatim as the reference for perimeter_counts."""
+    table = []
+    for perimeter in perimeters:
+        half = perimeter // 2
+        least = isqrt(16 * perimeter - 1) + 1  # least A with A^2 >= 16*P
+        least += least % 2
+        total = amicable = self_amicable = 0
+        for short in range(1, half // 2 + 1):
+            top = short * (half - short)
+            total += top
+            if top >= least:
+                amicable += top // 2 - least // 2 + 1
+            self_amicable += top >= perimeter
+        table.append(PerimeterCounts(perimeter, total, amicable, self_amicable))
+    return table
+
+
+def test_rows_match_the_split_loop_to_2000():
+    perimeters = range(4, 2001, 2)
+    assert list(map(perimeter_counts, perimeters)) == split_loop_counts(perimeters)
+    assert count_amicable(2000) == split_loop_counts(perimeters)
+
+
+@settings(max_examples=50, deadline=None)
+@given(half=st.integers(min_value=2, max_value=500_000))
+@example(half=500_000)
+def test_row_matches_the_split_loop_to_a_million(half):
+    assert [perimeter_counts(2 * half)] == split_loop_counts([2 * half])
+
+
+def is_least_amicable_area(area, perimeter):
+    return (
+        closed_form(area, perimeter) is Reason.OK
+        and closed_form(area - 2, perimeter) is not Reason.OK
+    )
+
+
+def test_least_amicable_area_matches_the_rule_to_10000():
+    for perimeter in range(4, 10_001, 2):
+        assert is_least_amicable_area(least_amicable_area(perimeter), perimeter)
+
+
+huge_perimeters = (
+    st.integers(min_value=1, max_value=5000)
+    .flatmap(lambda digits: st.integers(min_value=2, max_value=10**digits))
+    .map(lambda k: 2 * k)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perimeter=huge_perimeters)
+def test_least_amicable_area_matches_the_rule_on_huge_perimeters(perimeter):
+    assert is_least_amicable_area(least_amicable_area(perimeter), perimeter)
 
 
 even_perimeters = st.integers(min_value=2, max_value=1000).map(lambda k: 2 * k)

@@ -48,6 +48,23 @@ def test_enumerate_streams_at_flat_memory(fmt, perimeter):
     assert peak < 1_000_000
 
 
+def test_census_streams_at_flat_memory():
+    # 50,000 rows, 1.88 MB: each row is counted as it is written.
+    with redirect_stdout(_Discard()):  # parser, imports and caches first
+        assert cli.main(["census", "--max-perimeter", "8"]) == 0
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = cli.main(["census", "--max-perimeter", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 1_800_000
+    assert peak < 1_000_000
+
+
 class _RecordWrites(io.TextIOBase):
     """A text sink that keeps the size of each write and the longest line."""
 

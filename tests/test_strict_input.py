@@ -7,6 +7,7 @@ import pytest
 
 from amigram import (
     HeronianError,
+    InvalidPerimeter,
     NonIntegerArea,
     NonIntegerDimension,
     Parallelogram,
@@ -30,6 +31,7 @@ from amigram.census import (
     amicable_rectangle_pairs,
     amicable_rectangle_pairs_exhaustive,
     count_amicable,
+    perimeter_counts,
 )
 
 SHAPE = {"base": "8", "side": "13", "area": "26"}
@@ -165,6 +167,7 @@ class TestNonIntInvariants:
             (exists_heronian_with, ("42", 26)),
             (exists_heronian_with, (42, True)),
             (count_amicable, (8.0,)),
+            (perimeter_counts, (8.0,)),
             (enumerate_by_perimeter, (8.0,)),
             (enumerate_by_area, (4.0, 8)),
             (non_amicable_witness_area, (4.0,)),
@@ -177,3 +180,9 @@ class TestNonIntInvariants:
     def test_refused(self, function, args):
         with pytest.raises(NonIntegerDimension, match=r"must be an int, got \w+$"):
             function(*args)
+
+
+@pytest.mark.parametrize("perimeter", [7, 2])
+def test_census_row_refuses_a_bad_perimeter(perimeter):
+    with pytest.raises(InvalidPerimeter):
+        perimeter_counts(perimeter)
