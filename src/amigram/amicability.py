@@ -93,7 +93,9 @@ class Verdict:
     ) -> None:
         # Written out like Parallelogram's: the check runs before the fields
         # are stored, and an OK verdict is built once per amicable shape.
-        if not amicable == (reason is _OK) == (companion is not None):
+        # Identity, not equality, so that amicable is a bool and not 1 or 0,
+        # which to_json_dict would print as a number.
+        if not amicable is (reason is _OK) is (companion is not None):
             raise ValueError(
                 f"inconsistent verdict: Verdict(amicable={amicable!r}, "
                 f"reason={reason!r}, companion={companion!r})"
@@ -110,6 +112,15 @@ class Verdict:
             if self.companion is None
             else self.companion.to_json_dict(),
         }
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict())``, from one template."""
+        companion = "null" if self.companion is None else self.companion.to_json_text()
+        amicable = "true" if self.amicable else "false"
+        return (
+            f'{{"amicable": {amicable}, "reason": "{self.reason.value}", '
+            f'"companion": {companion}}}'
+        )
 
 
 _set_amicable, _set_reason, _set_companion = slot_setters(Verdict)

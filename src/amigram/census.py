@@ -73,6 +73,18 @@ class CensusRow:
             "self_amicable": self.self_amicable,
         }
 
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict())``, from one template, for a row
+        whose two flags are bools, as :func:`census_row` makes them."""
+        return (
+            f'{{"short_side": "{int_to_decimal(self.short_side)}", '
+            f'"long_side": "{int_to_decimal(self.long_side)}", '
+            f'"area": "{int_to_decimal(self.area)}", '
+            f'"perimeter": "{int_to_decimal(self.perimeter)}", '
+            f'"amicable": {"true" if self.amicable else "false"}, '
+            f'"self_amicable": {"true" if self.self_amicable else "false"}}}'
+        )
+
 
 @rebind_frozen_slots
 @dataclass(frozen=True, slots=True)
@@ -107,6 +119,12 @@ class RectanglePair:
             "second": list(self.second),
             "distinct": self.distinct,
         }
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict())``, from one template."""
+        (a, b), (c, d) = self.first, self.second
+        distinct = "true" if self.distinct else "false"
+        return f'{{"first": [{a}, {b}], "second": [{c}, {d}], "distinct": {distinct}}}'
 
 
 def enumerate_by_perimeter(perimeter: int) -> Iterator[Parallelogram]:

@@ -7,14 +7,15 @@ writes them, to stdout unless -o is given, errors to stderr.  Exit codes:
 1 = invalid input, 2 = a mathematical cross-check failed (a bug).
 
 Standard output is a pure function of the arguments: fixed field order,
-LF line endings, no timestamps or locale-dependent formatting.
+LF line endings, no timestamps or locale-dependent formatting.  A JSON line
+is the ``to_json_text()`` of the value it reports, which gives exactly
+``json.dumps(value.to_json_dict())``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -31,6 +32,7 @@ from .amicability import (
 from .census import (
     CSV_HEADER,
     CensusRow,
+    RectanglePair,
     amicable_rectangle_pairs,
     census_rows,
     non_amicable_witness_area,
@@ -43,7 +45,7 @@ from .core import (
     decimal_to_int,
     require_even_perimeter,
 )
-from .families import verify_family
+from .families import FamilyReportRow, verify_family
 from .render import RenderSpec, render_svg
 
 
@@ -109,13 +111,13 @@ def _cmd_check(args) -> tuple[int, Iterable[str]]:
         verdict = classify(Parallelogram(args.base, args.side, args.area))
     else:
         raise HeronianError("give either --area/--perimeter or --base/--side/--area")
-    return 0, [json.dumps(verdict.to_json_dict())]
+    return 0, [verdict.to_json_text()]
 
 
 def _cmd_family(args) -> tuple[int, Iterable[str]]:
     rows = verify_family(args.start, args.stop)
     code = 0 if all(row.passed for row in rows) else 2
-    return code, (json.dumps(row.to_json_dict()) for row in rows)
+    return code, map(FamilyReportRow.to_json_text, rows)
 
 
 def _cmd_verify(args) -> tuple[int, Iterable[str]]:
@@ -145,7 +147,7 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
         rows = (row for row in rows if row.amicable)
     if args.format == "csv":
         return 0, chain([CSV_HEADER], map(CensusRow.to_csv, rows))
-    return 0, (json.dumps(row.to_json_dict()) for row in rows)
+    return 0, map(CensusRow.to_json_text, rows)
 
 
 def _cmd_census(args) -> tuple[int, Iterable[str]]:
@@ -159,7 +161,7 @@ def _cmd_census(args) -> tuple[int, Iterable[str]]:
 
 def _cmd_rectangles(args) -> tuple[int, Iterable[str]]:
     ordered = sorted(amicable_rectangle_pairs(), key=lambda p: not p.distinct)  # distinct first
-    return 0, (json.dumps(p.to_json_dict()) for p in ordered)
+    return 0, map(RectanglePair.to_json_text, ordered)
 
 
 def _cmd_witness(args) -> tuple[int, Iterable[str]]:
@@ -167,7 +169,7 @@ def _cmd_witness(args) -> tuple[int, Iterable[str]]:
         shape = non_amicable_witness_area(args.area)
     else:
         shape = non_amicable_witness_perimeter(args.perimeter)
-    return 0, [json.dumps(shape.to_json_dict())]
+    return 0, [shape.to_json_text()]
 
 
 def _cmd_render(args) -> tuple[int, Iterable[str]]:

@@ -262,26 +262,47 @@ class Parallelogram:
         """
         return Parallelogram(self.side, self.base, self.area)
 
+    def _field_texts(self) -> tuple[str, str, str, str, str]:
+        """Decimal text of base, side, area and the height's num and den.
+
+        The height is area/base in lowest terms; when the gcd is 1 it is
+        already, and the area and base text is reused.
+        """
+        base = int_to_decimal(self.base)
+        area = int_to_decimal(self.area)
+        common = gcd(self.area, self.base)
+        if common == 1:
+            num, den = area, base
+        else:
+            num = int_to_decimal(self.area // common)
+            den = int_to_decimal(self.base // common)
+        return base, int_to_decimal(self.side), area, num, den
+
     def to_json_dict(self) -> dict:
         """Wire form with all integers as decimal strings.
 
         Schema: {"base": str, "side": str, "area": str,
                  "height": {"num": str, "den": str}}
         """
-        base = int_to_decimal(self.base)
-        area = int_to_decimal(self.area)
-        common = gcd(self.area, self.base)
-        if common == 1:  # already in lowest terms: reuse the text
-            num, den = area, base
-        else:
-            num = int_to_decimal(self.area // common)
-            den = int_to_decimal(self.base // common)
+        base, side, area, num, den = self._field_texts()
         return {
             "base": base,
-            "side": int_to_decimal(self.side),
+            "side": side,
             "area": area,
             "height": {"num": num, "den": den},
         }
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict())``, from one template.
+
+        Every value is a decimal string, which JSON prints as it is, so the
+        encoder's scan of each character for escapes is skipped.
+        """
+        base, side, area, num, den = self._field_texts()
+        return (
+            f'{{"base": "{base}", "side": "{side}", "area": "{area}", '
+            f'"height": {{"num": "{num}", "den": "{den}"}}}}'
+        )
 
     @classmethod
     def from_json_dict(cls, data: dict) -> Parallelogram:

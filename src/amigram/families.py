@@ -131,6 +131,21 @@ class FamilyReportRow:
             "checks": dict(self.checks),
         }
 
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict())``, from one template.
+
+        Each check name must print in JSON as it is, as the names
+        :func:`verify_family` gives do (no quote, backslash, control or
+        non-ASCII character), and each check value must be a bool.
+        """
+        checks = ", ".join(
+            [f'"{name}": {"true" if ok else "false"}' for name, ok in self.checks.items()]
+        )
+        return (
+            f'{{"n": {self.entry.n}, "h": {self.entry.rectangle.to_json_text()}, '
+            f'"c": {self.entry.partner.to_json_text()}, "checks": {{{checks}}}}}'
+        )
+
 
 def family_pair(n: int) -> FamilyEntry:
     """The amicable pair at index n >= 4.

@@ -418,6 +418,7 @@ class TestCommonBehavior:
         out = capsys.readouterr().out
         assert code == 2
         assert '"pair": false' in out
+        assert out == json.dumps(fake[0].to_json_dict()) + "\n"
 
 
 class TestBigIntegers:

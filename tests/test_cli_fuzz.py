@@ -3,7 +3,8 @@
 Whatever the argv, ``cli.main`` run in-process must end with exit code 0, 1
 or 2 and never with a traceback.  A rejection (exit 1) must write nothing
 to stdout and exactly one ``amigram: error:`` line to stderr; exits 0 and
-2 write nothing to stderr.
+2 write nothing to stderr.  Every line a JSON listing writes to stdout is
+the text ``json.dumps`` gives for what ``json.loads`` reads from it.
 
 Values are valid, 0, negative, loose text or 5000 digits, and a flag may be
 missing or given twice.  Huge values are drawn only where the work does not
@@ -14,10 +15,11 @@ stay at 60 or less.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import amigram.cli as cli
@@ -95,6 +97,19 @@ SUBCOMMANDS = {
 }
 
 
+JSON_COMMANDS = {"check", "family", "rectangles", "witness"}
+
+
+def writes_json(argv: list[str]) -> bool:
+    """Whether stdout holds JSON lines, given that argv was accepted."""
+    if not argv or "-h" in argv:
+        return False
+    if argv[0] == "enumerate":
+        formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+        return formats[-1:] == ["jsonl"]
+    return argv[0] in JSON_COMMANDS
+
+
 @st.composite
 def argvs(draw) -> list[str]:
     command = draw(st.sampled_from([*SUBCOMMANDS, "bogus", None]))
@@ -120,6 +135,12 @@ def outputs(tmp_path_factory):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(argv=argvs())
+# One accepted argv of each JSON listing, so every run checks their lines.
+@example(argv=["check", "--base", "9" * 5000, "--side", "9" * 5000, "--area", "8" * 5000])
+@example(argv=["family", "--from", "4", "--to", "30"])
+@example(argv=["enumerate", "--perimeter", "26", "--format", "jsonl"])
+@example(argv=["rectangles"])
+@example(argv=["witness", "--perimeter", "26"])
 def test_any_argv_exits_cleanly(outputs, argv):
     argv = [token.format(**outputs) for token in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -137,3 +158,6 @@ def test_any_argv_exits_cleanly(outputs, argv):
         assert err.count("\n") == 1 and err.endswith("\n")
     else:
         assert err == ""
+        if writes_json(argv):
+            for line in out.splitlines():
+                assert json.dumps(json.loads(line)) == line, argv

@@ -1,9 +1,11 @@
 """Fixed per-request costs must not change any answer.
 
 The CLI builds its parser once per process and runs every subcommand in
-that process, ``--threads`` included; the wire form converts each integer once.
+that process, ``--threads`` included; the wire form converts each integer
+once, and each JSON line is printed from a template, not by ``json``.
 Every in-process ``cli.main`` call must still answer as a fresh process
-does, and the wire text must stay the one the ``Fraction`` route produced.
+does, the wire text must stay the one the ``Fraction`` route produced, and
+each template must give exactly ``json.dumps`` of its ``to_json_dict``.
 """
 
 import json
@@ -17,7 +19,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amigram.cli as cli
-from amigram import HeronianError, Parallelogram, int_to_decimal
+from amigram import (
+    CensusRow,
+    FamilyReportRow,
+    HeronianError,
+    Parallelogram,
+    RectanglePair,
+    amicable_rectangle_pairs,
+    census_rows,
+    classify,
+    int_to_decimal,
+    verify_family,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -81,6 +94,22 @@ def test_import_leaves_multiprocessing_out():
         "with open(os.devnull, 'w') as sink, redirect_stdout(sink):\n"
         "    assert cli.main(['verify', '--max-perimeter', '40', '--threads', '2']) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
+def test_json_lines_leave_json_out():
+    code = (
+        "import os, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "import amigram.cli as cli\n"
+        "with open(os.devnull, 'w') as sink, redirect_stdout(sink):\n"
+        "    assert cli.main(['check', '--base', '7', '--side', '6', '--area', '42']) == 0\n"
+        "    assert cli.main(['family', '--from', '4', '--to', '10']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'json'))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -156,3 +185,94 @@ class TestWireForm:
         # the area as a JSON integer and num as equal text still parse
         wire = {"base": 2, "side": 3, "area": "3", "height": {"num": 3, "den": "2"}}
         assert Parallelogram.from_json_dict(wire) == Parallelogram(2, 3, 3)
+
+
+# base and side up to 60, and an area spread over 1..base*side
+SMALL_SHAPES = st.builds(
+    lambda base, side, permille: Parallelogram(base, side, max(1, permille * base * side // 1000)),
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.integers(1, 1000),
+)
+BIG = st.integers(1, 5000).flatmap(lambda digits: st.integers(1, 10**digits))
+FAMILY_CHECKS = ["pair", "amicable_h", "amicable_c", "identity", "existence_bound"]
+
+
+def dumps(value):
+    """The oracle every template is held to."""
+    return json.dumps(value.to_json_dict())
+
+
+class TestJsonText:
+    """``to_json_text()`` is ``json.dumps(to_json_dict())``, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=scaled_shapes())
+    @example(shape=Parallelogram(10**4999 + 1, 10**4999, 10**4999))
+    @example(shape=Parallelogram(6 * 10**4999, 10**4999, 4 * 10**4999))
+    def test_shape(self, shape):
+        assert shape.to_json_text() == dumps(shape)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shape=st.one_of(SMALL_SHAPES, scaled_shapes()))
+    @example(shape=Parallelogram(7, 6, 42))  # OK
+    @example(shape=Parallelogram(7, 6, 41))  # ODD_AREA
+    @example(shape=Parallelogram(3, 1, 2))  # BOUND_FAIL
+    def test_verdict(self, shape):
+        verdict = classify(shape)
+        assert verdict.to_json_text() == dumps(verdict)
+
+    def test_verdict_examples_cover_every_reason(self):
+        shapes = [Parallelogram(7, 6, 42), Parallelogram(7, 6, 41), Parallelogram(3, 1, 2)]
+        assert [classify(shape).reason.value for shape in shapes] == [
+            "OK", "ODD_AREA", "BOUND_FAIL"
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        numbers=st.tuples(BIG, BIG, BIG, BIG),
+        amicable=st.booleans(),
+        self_amicable=st.booleans(),
+    )
+    def test_census_row(self, numbers, amicable, self_amicable):
+        row = CensusRow(*numbers, amicable, self_amicable)
+        assert row.to_json_text() == dumps(row)
+
+    def test_census_rows(self):
+        rows = list(census_rows(26))
+        assert {(row.amicable, row.self_amicable) for row in rows} == {
+            (False, False), (True, False), (True, True)
+        }
+        for row in rows:
+            assert row.to_json_text() == dumps(row)
+
+    @settings(max_examples=100, deadline=None)
+    # JSON integers, which json.dumps refuses past the int/str digit limit
+    @given(sides=st.tuples(*[st.integers(1, 10**600)] * 4), self_paired=st.booleans())
+    def test_rectangle_pair(self, sides, self_paired):
+        first = sides[:2]
+        pair = RectanglePair(first, first if self_paired else sides[2:])
+        assert pair.to_json_text() == dumps(pair)
+
+    def test_rectangle_pairs(self):
+        pairs = amicable_rectangle_pairs()
+        assert {pair.distinct for pair in pairs} == {True, False}
+        for pair in pairs:
+            assert pair.to_json_text() == dumps(pair)
+
+    @pytest.mark.parametrize("start, stop", [(4, 300), (11000, 11000)])
+    def test_family_rows(self, start, stop):
+        for row in verify_family(start, stop):
+            assert row.to_json_text() == dumps(row)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(4, 300),
+        checks=st.dictionaries(st.sampled_from(FAMILY_CHECKS), st.booleans()),
+    )
+    @example(n=4, checks={"pair": False})  # the row tests/test_cli.py injects
+    @example(n=9, checks={name: name != "identity" for name in FAMILY_CHECKS})
+    def test_hand_built_family_row(self, n, checks):
+        (row,) = verify_family(n, n)
+        row = FamilyReportRow(row.entry, checks)
+        assert row.to_json_text() == dumps(row)

@@ -157,6 +157,15 @@ def test_inconsistent_verdicts_keep_their_message(args, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "args", [(1, Reason.OK, Parallelogram(11, 10, 26)), (0, Reason.ODD_AREA, None)], ids=repr
+)
+def test_verdict_flag_must_be_a_bool(args):
+    # 1 == True, but the wire form would print "amicable": 1
+    with pytest.raises(ValueError, match="^inconsistent verdict: Verdict\\(amicable=[01],"):
+        Verdict(*args)
+
+
 @pytest.mark.parametrize("amicable", [True, False])
 @pytest.mark.parametrize("reason", list(Reason))
 @pytest.mark.parametrize("companion", [None, Parallelogram(11, 10, 26)])
