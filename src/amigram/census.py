@@ -31,6 +31,7 @@ from typing import Iterator
 
 from .amicability import Reason, closed_form, is_amicable, is_self_amicable, least_amicable_area
 from .core import (
+    HeronianError,
     Parallelogram,
     int_to_decimal,
     rebind_frozen_slots,
@@ -56,6 +57,13 @@ class CensusRow:
     amicable: bool
     self_amicable: bool
 
+    def __post_init__(self) -> None:
+        # Identity, not equality: a flag of 1 or 0 would print as a number
+        # from to_json_dict and to_csv but as true or false from to_json_text.
+        if not type(self.amicable) is type(self.self_amicable) is bool:
+            kinds = f"{type(self.amicable).__name__}, {type(self.self_amicable).__name__}"
+            raise HeronianError(f"amicable and self_amicable must be bools, got ({kinds})")
+
     def to_csv(self) -> str:
         return (
             f"{int_to_decimal(self.short_side)},{int_to_decimal(self.long_side)},"
@@ -74,8 +82,7 @@ class CensusRow:
         }
 
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_dict())``, from one template, for a row
-        whose two flags are bools, as :func:`census_row` makes them."""
+        """``json.dumps(self.to_json_dict())``, from one template."""
         return (
             f'{{"short_side": "{int_to_decimal(self.short_side)}", '
             f'"long_side": "{int_to_decimal(self.long_side)}", '
@@ -350,9 +357,8 @@ def smallest_amicable() -> Parallelogram:
     least split a0 with a0*(h - a0) >= A0, so the answer is
     (a0, h - a0, A0) at the first perimeter where a0 <= floor(h/2).
     """
-    for perimeter in count(4, 2):
+    for perimeter in count(4, 2):  # endless: it returns at perimeter 16
         half = perimeter // 2
         least = least_amicable_area(perimeter)
         for short in splits_at_least(half, least):  # a0, if any split reaches A0
             return Parallelogram(short, half - short, least)
-    raise AssertionError("unreachable")

@@ -122,20 +122,19 @@ def _cmd_family(args) -> tuple[int, Iterable[str]]:
 
 def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     """Every grid row in this process, one perimeter at a time, keeping
-    only running totals."""
+    only the running cell count and the disagreements: the agreements are
+    the cells that did not disagree."""
     require_even_perimeter(args.max_perimeter)
-    cells = agreements = 0
+    rows = map(_verify_perimeter, range(4, args.max_perimeter + 1, 2))
+    cells = 0
     disagreements = []
-    for row_cells, row_agreements, row_disagreements in map(
-        _verify_perimeter, range(4, args.max_perimeter + 1, 2)
-    ):
+    for row_cells, _, row_disagreements in rows:
         cells += row_cells
-        agreements += row_agreements
         disagreements.extend(row_disagreements)
     return (0 if not disagreements else 2), [
         f"max perimeter: {args.max_perimeter}",
         f"cells: {cells}",
-        f"agreements: {agreements}",
+        f"agreements: {cells - len(disagreements)}",
         f"disagreements: {len(disagreements)}",
         *(f"disagree: area={area} perimeter={perimeter}" for area, perimeter in disagreements),
     ]

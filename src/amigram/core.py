@@ -60,11 +60,8 @@ def int_to_decimal(value: int) -> str:
     """
     try:
         return str(value)
-    except ValueError:
-        pass
-    if value < 0:
-        return "-" + int_to_decimal(-value)
-    return _digits_of(value)
+    except ValueError:  # past the int/str digit limit
+        return "-" + _digits_of(-value) if value < 0 else _digits_of(value)
 
 
 def _digits_of(value: int) -> str:
@@ -212,7 +209,8 @@ class Parallelogram:
             raise NonIntegerDimension(
                 f"height must be an int or a Fraction, got {type(height).__name__}"
             )
-        height = Fraction(height)
+        # An int height is used as it is: it compares and multiplies like a
+        # Fraction and has a numerator and a denominator (1) too.
         if base < 1 or side < 1 or height <= 0:
             raise ZeroDimension(
                 f"base, side, and height must be positive, got ({int_to_decimal(base)}, "
@@ -361,7 +359,7 @@ def _json_int(data: dict, key: str, parsed_text=None, parsed_value=None) -> int:
         ) from None
 
 
-def _fraction_to_decimal(value: Fraction) -> str:
+def _fraction_to_decimal(value: Fraction | int) -> str:
     """``str(value)`` in the form Fraction prints, past the digit limit too."""
     if value.denominator == 1:
         return int_to_decimal(value.numerator)
@@ -393,21 +391,22 @@ def splits_at_least(half: int, bound: int) -> range:
     half/2.  This is the paper's quadratic bound: with half = A/2 and
     bound = P it gives the companion bases of an (A, P) pair, and with
     half = P/2 and bound = A the short sides that can carry area A at
-    perimeter P.  The lower end is read off the integer square root of the
-    discriminant and settled by one exact check, so the range is exact at
-    any size.  When no split reaches the bound the range is empty and
-    starts at half // 2 + 1, one past the middle split, so a walk from its
+    perimeter P.  Both ends are read off the integer square root of the
+    discriminant alone, exactly at any size (the comment below says why).
+    When no split reaches the bound the range is empty and starts at
+    half // 2 + 1, one past the middle split, so a walk from its
     start up to the middle is empty too.
     """
     disc = half * half - 4 * bound
     if disc < 0:
         return range(half // 2 + 1, half // 2 + 1)
-    # isqrt is at most 1 below the real root, so this is the least split or
-    # one above it.  One exists: disc >= 0 puts the integer at or next to
-    # half/2 on or above the bound.
+    # The splits are the integers in [y, half - y], y = (half - sqrt(disc))/2.
+    # s = isqrt(disc) has s <= sqrt(disc) < s + 1, so y lies in
+    # ((half - s - 1)/2, (half - s)/2], a half-open interval of length 1/2
+    # that ends on a multiple of 1/2: ceil(y) = (half - s + 1) // 2 exactly,
+    # and by symmetry the greatest split is half - ceil(y).  The range is not
+    # empty: low <= half // 2, as s >= 1 when half is odd (disc is odd then).
     low = (half - isqrt(disc) + 1) // 2
-    if (low - 1) * (half - low + 1) >= bound:
-        low -= 1
     return range(low, half - low + 1)
 
 

@@ -119,6 +119,13 @@ class FamilyReportRow:
     entry: FamilyEntry
     checks: dict[str, bool]
 
+    def __post_init__(self) -> None:
+        # Identity, not equality: a check of 1 or 0 would print as a number
+        # from to_json_dict but as true or false from to_json_text.
+        for name, ok in self.checks.items():
+            if type(ok) is not bool:
+                raise HeronianError(f"check {name!r} must be a bool, got {type(ok).__name__}")
+
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
@@ -136,7 +143,7 @@ class FamilyReportRow:
 
         Each check name must print in JSON as it is, as the names
         :func:`verify_family` gives do (no quote, backslash, control or
-        non-ASCII character), and each check value must be a bool.
+        non-ASCII character).
         """
         checks = ", ".join(
             [f'"{name}": {"true" if ok else "false"}' for name, ok in self.checks.items()]

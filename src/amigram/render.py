@@ -105,8 +105,8 @@ def render_svg(spec: RenderSpec) -> str:
     widths = [max(x for x, _ in poly) for poly in polygons]
     tallest = max(max(y for _, y in poly) for poly in polygons)
 
-    gap = spec.margin if len(shapes) > 1 else 0
-    avail_w = spec.width - 2 * spec.margin - gap * (len(shapes) - 1)
+    # One margin each side and one between shapes.
+    avail_w = spec.width - (len(shapes) + 1) * spec.margin
     avail_h = spec.height - 2 * spec.margin - _LABEL_BAND
     if avail_w <= 0 or avail_h <= 0:
         raise RenderError("canvas too small for the requested margins")
@@ -136,6 +136,6 @@ def render_svg(spec: RenderSpec) -> str:
             f'font-family="monospace" font-size="{_FONT_SIZE}">'
             f"{_caption(shape)}</text>"
         )
-        cursor += model_w * scale + gap
+        cursor += model_w * scale + spec.margin
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

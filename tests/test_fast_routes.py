@@ -161,16 +161,30 @@ def test_splits_match_the_literal_list(half):
 
 @st.composite
 def huge_splits(draw):
-    """(half, bound) with half up to 5000 digits; half the bounds lie within
-    3 of the peak product floor(half^2/4), on either side of it."""
+    """(half, bound) with half up to 5000 digits.  A third of the bounds lie
+    within 3 of the peak product floor(half^2/4), on either side of it; a
+    third are (half^2 - s^2)/4 or one off it, for an s of half's parity,
+    where both roots (half -+ s)/2 are integers and an off-by-one at either
+    end of the interval would show; a third lie anywhere below the peak."""
     digits = draw(st.integers(min_value=1, max_value=5000))
     half = draw(st.integers(min_value=2, max_value=10**digits))
     peak = half * half // 4
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["peak", "roots", "anywhere"]))
+    if kind == "peak":
         bound = max(1, peak + draw(st.integers(min_value=-3, max_value=3)))
+    elif kind == "roots":
+        s = half - 2 * draw(st.integers(min_value=1, max_value=half // 2))
+        exact = (half * half - s * s) // 4
+        bound = max(1, exact + draw(st.integers(min_value=-1, max_value=1)))
     else:
         bound = draw(st.integers(min_value=1, max_value=peak))
     return half, bound
+
+
+# A 5000-digit half whose bound is the product k*(half - k) at k = 10**4999:
+# the roots of a^2 - half*a + bound are exactly k and half - k.
+ROOTS_HALF = 4 * 10**4999 + 1
+ROOTS_BOUND = 10**4999 * (ROOTS_HALF - 10**4999)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,6 +192,9 @@ def huge_splits(draw):
 @example((2, 1))
 @example((3, 2))
 @example((3, 3))
+@example((ROOTS_HALF, ROOTS_BOUND - 1))
+@example((ROOTS_HALF, ROOTS_BOUND))
+@example((ROOTS_HALF, ROOTS_BOUND + 1))
 def test_split_endpoints_on_huge_inputs(splits_case):
     half, bound = splits_case
     splits = splits_at_least(half, bound)

@@ -7,7 +7,8 @@ equality, hashing, repr, tuples, pickling and copying as a plain
 ``@dataclass(frozen=True)`` with the same fields gives.  Every rejection
 keeps its exception class and its message text.  These two and the census
 rows and tallies, all slots dataclasses, refuse any attribute with
-``FrozenInstanceError``, field or not.
+``FrozenInstanceError``, field or not.  Census rows and family report rows
+refuse a flag or check value that is not a bool, as a verdict does.
 """
 
 import copy
@@ -21,6 +22,9 @@ from hypothesis import strategies as st
 from amigram import (
     AreaOutOfRange,
     CensusRow,
+    FamilyEntry,
+    FamilyReportRow,
+    HeronianError,
     NonIntegerDimension,
     Parallelogram,
     PerimeterCounts,
@@ -202,3 +206,37 @@ def test_every_other_attribute_refuses_assignment_and_deletion(value):
             action(value)
         assert str(info.value) == str(expected.value)
     assert not hasattr(value, "extra")
+
+
+# 1 == True and 0 == False, but to_json_dict and to_csv would print them as
+# numbers where to_json_text prints true and false.
+NOT_BOOLS = [1, 0, 1.0, None, "true"]
+
+
+@pytest.mark.parametrize("flag", NOT_BOOLS, ids=repr)
+@pytest.mark.parametrize("position", [4, 5])
+def test_census_row_flags_must_be_bools(flag, position):
+    args = [1, 2, 2, 6, True, False]
+    args[position] = flag
+    kinds = [type(value).__name__ for value in args[4:]]
+    message = f"amicable and self_amicable must be bools, got ({kinds[0]}, {kinds[1]})"
+    with pytest.raises(HeronianError) as info:
+        CensusRow(*args)
+    assert type(info.value) is HeronianError
+    assert str(info.value) == message
+    row = CensusRow(1, 2, 2, 6, True, False)
+    with pytest.raises(HeronianError, match="^amicable and self_amicable must be bools"):
+        dataclasses.replace(row, **{("amicable", "self_amicable")[position - 4]: flag})
+
+
+FAMILY_ENTRY = FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26))
+
+
+@pytest.mark.parametrize("value", NOT_BOOLS, ids=repr)
+def test_family_row_checks_must_be_bools(value):
+    checks = {"pair": True, "identity": value, "existence_bound": False}
+    with pytest.raises(HeronianError) as info:
+        FamilyReportRow(FAMILY_ENTRY, checks)
+    assert type(info.value) is HeronianError
+    assert str(info.value) == f"check 'identity' must be a bool, got {type(value).__name__}"
+
