@@ -192,6 +192,13 @@ class Parallelogram:
         _set_side(self, side)
         _set_area(self, area)
 
+    def __repr__(self) -> str:
+        # The generated repr's !r fails past the int/str digit limit.
+        return (
+            f"{type(self).__qualname__}(base={int_to_decimal(self.base)}, "
+            f"side={int_to_decimal(self.side)}, area={int_to_decimal(self.area)})"
+        )
+
     @classmethod
     def from_base_height_side(
         cls, base: int, height: Fraction | int, side: int
@@ -354,9 +361,12 @@ def _json_int(data: dict, key: str, parsed_text=None, parsed_value=None) -> int:
     try:
         return decimal_to_int(value)
     except HeronianError:
-        raise HeronianError(
-            f"field {key!r} must be a decimal integer, got {value!r:.40}"
-        ) from None
+        pass
+    try:
+        shown = f"{value!r:.40}"
+    except ValueError:  # holds an int past the int/str digit limit
+        shown = f"a {type(value).__name__} holding an int too long to print"
+    raise HeronianError(f"field {key!r} must be a decimal integer, got {shown}")
 
 
 def _fraction_to_decimal(value: Fraction | int) -> str:

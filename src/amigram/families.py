@@ -16,20 +16,30 @@ Indexing: F(0) = 0, F(1) = 1 and L(0) = 2, L(1) = 1.
 
 :func:`fib` and :func:`lucas` use fast doubling (Knuth, TAOCP vol. 1,
 section 1.2.8), O(log n) multiplications each, and :func:`family_pair`
-builds every entry from three doubling passes.  :func:`verify_family`
-re-derives its check values by another route: it seeds F(n), L(n) and
-F(2n-2) with their successors once per range and steps them by the
-defining recurrences, so from the second index of a range on, no check
-reuses a value the entry was built from.  :func:`fib_iterative` and
-:func:`lucas_iterative` keep the n-step loops as their test oracles.
+builds every entry from two doubling passes and one more doubling step.
+:func:`verify_family` re-derives its check values by another route: it
+seeds F(n), L(n) and F(2n-2) with their successors once per range and
+steps them by the defining recurrences, so from the second index of a
+range on, no check reuses a value the entry was built from.
+:func:`fib_iterative` and :func:`lucas_iterative` keep the n-step loops as
+their test oracles.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .amicability import is_amicable, verify_pair
-from .core import HeronianError, Parallelogram, int_to_decimal, require_int
+from .core import (
+    HeronianError,
+    Parallelogram,
+    int_to_decimal,
+    rebind_frozen_slots,
+    require_int,
+    slot_setters,
+)
 
 
 class IndexTooSmall(HeronianError):
@@ -103,7 +113,8 @@ def lucas_iterative(n: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
+@rebind_frozen_slots
+@dataclass(frozen=True, slots=True)
 class FamilyEntry:
     """Family member at index n: a rectangle and its amicable partner."""
 
@@ -111,20 +122,41 @@ class FamilyEntry:
     rectangle: Parallelogram
     partner: Parallelogram
 
+    def __init__(self, n: int, rectangle: Parallelogram, partner: Parallelogram) -> None:
+        # Written out like Parallelogram's: one is built per index.
+        _set_n(self, n)
+        _set_rectangle(self, rectangle)
+        _set_partner(self, partner)
 
-@dataclass(frozen=True)
+
+_set_n, _set_rectangle, _set_partner = slot_setters(FamilyEntry)
+
+
+@rebind_frozen_slots
+@dataclass(frozen=True, slots=True)
 class FamilyReportRow:
-    """Outcome of the per-index checks run by :func:`verify_family`."""
+    """Outcome of the per-index checks run by :func:`verify_family`.
+
+    ``checks`` is a read-only copy of the mapping given, so the values
+    checked here are the values every later reader sees.
+    """
 
     entry: FamilyEntry
-    checks: dict[str, bool]
+    checks: MappingProxyType[str, bool]
 
-    def __post_init__(self) -> None:
+    def __init__(self, entry: FamilyEntry, checks: Mapping[str, bool]) -> None:
+        checks = dict(checks)
         # Identity, not equality: a check of 1 or 0 would print as a number
         # from to_json_dict but as true or false from to_json_text.
-        for name, ok in self.checks.items():
+        for name, ok in checks.items():
             if type(ok) is not bool:
                 raise HeronianError(f"check {name!r} must be a bool, got {type(ok).__name__}")
+        _set_entry(self, entry)
+        _set_checks(self, MappingProxyType(checks))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle or copy; the dict under it does.
+        return FamilyReportRow, (self.entry, dict(self.checks))
 
     @property
     def passed(self) -> bool:
@@ -154,20 +186,25 @@ class FamilyReportRow:
         )
 
 
+_set_entry, _set_checks = slot_setters(FamilyReportRow)
+
+
 def family_pair(n: int) -> FamilyEntry:
     """The amicable pair at index n >= 4.
 
-    Three doubling passes: (F(n), F(n+1)), which give F(n+3) = F(n) +
-    2F(n+1); L(n); and (F(2n-2), F(2n-1)).  Both members go through the
-    validating constructors, so the partner's existence bound is enforced
-    rather than assumed.
+    Two doubling passes, (F(n), F(n+1)) and L(n), give the rectangle and
+    the partner's area 2F(n+3) = 2(F(n) + 2F(n+1)).  The partner's base and
+    side (F(2n-2), F(2n-1)) are one more doubling step of the pass's loop,
+    taken at k = n - 1 from F(n-1) = F(n+1) - F(n) and F(n).  Both members
+    go through the validating constructors, so the partner's existence
+    bound is enforced rather than assumed.
     """
     _require_family_index(n)
     f, f1 = _fib_pair(n)
     ell = lucas(n)
-    base, side = _fib_pair(2 * n - 2)
+    f0 = f1 - f
     rectangle = Parallelogram(ell, 2 * f, 2 * f * ell)
-    partner = Parallelogram(base, side, 2 * (f + 2 * f1))
+    partner = Parallelogram(f0 * (2 * f - f0), f0 * f0 + f * f, 2 * (f + 2 * f1))
     return FamilyEntry(n, rectangle, partner)
 
 

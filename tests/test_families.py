@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amigram import (
@@ -18,7 +18,7 @@ from amigram import (
     verify_family,
     verify_pair,
 )
-from amigram.families import fib_iterative, lucas_iterative
+from amigram.families import _fib_pair, fib_iterative, lucas_iterative
 
 # frozen initial segments, from the defining recurrences
 FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987]
@@ -186,6 +186,23 @@ class TestRowsAgainstTheOracles:
 
     def test_range_past_the_str_digit_limit(self):
         self.check(11000, 11003)
+
+
+class TestPartnerDoublingStep:
+    """``family_pair`` takes the partner's base and side (F(2n-2), F(2n-1))
+    one doubling step from (F(n-1), F(n)), not from a doubling pass of its
+    own."""
+
+    @settings(deadline=None)
+    @given(st.integers(4, 5000))
+    @example(11000)  # past the int/str digit limit
+    def test_entry_matches_the_oracles(self, n):
+        assert family_pair(n) == reference_entry(n)
+
+    def test_partner_matches_a_full_doubling_pass(self):
+        for n in range(4, 2001):
+            partner = family_pair(n).partner
+            assert (partner.base, partner.side) == _fib_pair(2 * n - 2)
 
 
 def corrupt_at(monkeypatch, name, index):

@@ -9,11 +9,16 @@ keeps its exception class and its message text.  These two and the census
 rows and tallies, all slots dataclasses, refuse any attribute with
 ``FrozenInstanceError``, field or not.  Census rows and family report rows
 refuse a flag or check value that is not a bool, as a verdict does.
+Family entries and report rows are slots dataclasses as well, and a row's
+checks are a read-only copy.  A shape prints, and a JSON field is refused
+with its name, past CPython's int/str digit limit too.
 """
 
 import copy
 import dataclasses
+import json
 import pickle
+import sys
 
 import pytest
 from hypothesis import given
@@ -31,6 +36,7 @@ from amigram import (
     Reason,
     Verdict,
     ZeroDimension,
+    verify_family,
 )
 
 # Plain frozen dataclasses with the same names and fields, as references.
@@ -240,3 +246,87 @@ def test_family_row_checks_must_be_bools(value):
     assert type(info.value) is HeronianError
     assert str(info.value) == f"check 'identity' must be a bool, got {type(value).__name__}"
 
+
+def test_family_row_checks_are_a_read_only_copy():
+    checks = {"pair": True, "identity": False}
+    row = FamilyReportRow(FAMILY_ENTRY, checks)
+    checks["pair"] = 1
+    assert dict(row.checks) == {"pair": True, "identity": False}
+    (row,) = verify_family(4, 4)
+    with pytest.raises(TypeError):
+        row.checks["pair"] = 1
+    with pytest.raises(TypeError):
+        del row.checks["pair"]
+    assert row.to_json_text() == json.dumps(row.to_json_dict())
+    with pytest.raises(HeronianError, match="^check 'pair' must be a bool, got int$"):
+        dataclasses.replace(row, checks={**row.checks, "pair": 1})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [FAMILY_ENTRY, FamilyReportRow(FAMILY_ENTRY, {"pair": True, "identity": False})],
+    ids=lambda value: type(value).__name__,
+)
+def test_family_values_are_frozen_slots_that_pickle_and_copy(value):
+    for name in [field.name for field in dataclasses.fields(value)] + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert not hasattr(value, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(value, protocol))
+        assert type(again) is type(value) and again == value
+    for duplicate in (copy.copy(value), copy.deepcopy(value)):
+        assert type(duplicate) is type(value) and duplicate == value
+
+
+@pytest.fixture(params=[4300, 640], ids=["default_limit", "lowest_limit"])
+def digit_limit(request):
+    """Run under CPython's default int/str digit limit, then its lowest."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("digits", [600, 1000, 5000])
+def test_shapes_and_verdicts_print_past_the_digit_limit(digit_limit, digits):
+    assert repr(Parallelogram(7, 6, 42)) == "Parallelogram(base=7, side=6, area=42)"
+    shape = Parallelogram(10 ** (digits - 1), 1, 1)
+    text = "Parallelogram(base=1" + "0" * (digits - 1) + ", side=1, area=1)"
+    assert repr(shape) == text
+    with pytest.raises(ValueError) as info:
+        Verdict(False, Reason.OK, shape)
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        "inconsistent verdict: Verdict(amicable=False, "
+        f"reason=<Reason.OK: 'OK'>, companion={text})"
+    )
+    assert repr(Verdict(True, Reason.OK, shape)) == (
+        f"Verdict(amicable=True, reason=<Reason.OK: 'OK'>, companion={text})"
+    )
+
+
+@pytest.mark.parametrize(
+    "value", [[BIG], (BIG,), {"x": BIG}, [[1, BIG]]], ids=["list", "tuple", "dict", "nested"]
+)
+def test_json_field_holding_an_int_past_the_limit_is_refused(digit_limit, value):
+    with pytest.raises(HeronianError) as info:
+        Parallelogram.from_json_dict({"base": "1", "side": value, "area": "1"})
+    assert type(info.value) is HeronianError
+    assert str(info.value) == (
+        f"field 'side' must be a decimal integer, "
+        f"got a {type(value).__name__} holding an int too long to print"
+    )
+
+
+@pytest.mark.parametrize(
+    "value,shown",
+    [([8], "[8]"), (7.9, "7.9"), (None, "None"), ("8" * 5000 + "x", "'" + "8" * 39)],
+    ids=["list", "float", "none", "long_text"],
+)
+def test_json_field_refusals_that_print_keep_their_text(value, shown):
+    with pytest.raises(HeronianError) as info:
+        Parallelogram.from_json_dict({"base": value, "side": "1", "area": "1"})
+    assert str(info.value) == f"field 'base' must be a decimal integer, got {shown}"
