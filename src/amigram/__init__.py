@@ -5,128 +5,95 @@ are amicable when the area of each equals the perimeter of the other.  This
 package decides amicability, constructs companions, generates an infinite
 Fibonacci-Lucas family of amicable pairs, and cross-checks the closed-form
 criterion against independent brute-force searches at desk scale.
+
+Each exported name is imported from its home module on first use (PEP 562),
+so ``import amigram`` loads no submodule and a CLI subcommand loads only the
+modules it runs.
 """
 
-from .amicability import (
-    NotAmicable,
-    Reason,
-    Verdict,
-    all_companion_bases,
-    classify,
-    classify_invariants,
-    companion,
-    companion_base_range,
-    companion_bases_exhaustive,
-    companion_exists_bruteforce,
-    companion_from_invariants,
-    decide,
-    exists_heronian_with,
-    is_amicable,
-    is_amicable_invariants,
-    is_self_amicable,
-    verify_pair,
-)
-from .census import (
-    CSV_HEADER,
-    CensusRow,
-    PerimeterCounts,
-    RectanglePair,
-    amicable_rectangle_pairs,
-    amicable_rectangle_pairs_exhaustive,
-    census_row,
-    census_rows,
-    count_amicable,
-    count_amicable_exhaustive,
-    enumerate_by_area,
-    enumerate_by_perimeter,
-    non_amicable_witness_area,
-    non_amicable_witness_perimeter,
-    smallest_amicable,
-)
-from .core import (
-    AreaOutOfRange,
-    CanonicalKey,
-    HeronianError,
-    InvalidPerimeter,
-    NonIntegerArea,
-    NonIntegerDimension,
-    Parallelogram,
-    SideTooShort,
-    ZeroDimension,
-    decimal_to_int,
-    int_to_decimal,
-)
-from .families import (
-    FamilyEntry,
-    FamilyReportRow,
-    IndexTooSmall,
-    family_pair,
-    fib,
-    fib_iterative,
-    lucas,
-    lucas_iterative,
-    verify_family,
-)
-from .render import RenderError, RenderSpec, model_vertices, render_svg
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AreaOutOfRange",
-    "CSV_HEADER",
-    "CanonicalKey",
-    "CensusRow",
-    "FamilyEntry",
-    "FamilyReportRow",
-    "HeronianError",
-    "IndexTooSmall",
-    "InvalidPerimeter",
-    "NonIntegerArea",
-    "NonIntegerDimension",
-    "NotAmicable",
-    "Parallelogram",
-    "PerimeterCounts",
-    "Reason",
-    "RectanglePair",
-    "RenderError",
-    "RenderSpec",
-    "SideTooShort",
-    "Verdict",
-    "ZeroDimension",
-    "all_companion_bases",
-    "amicable_rectangle_pairs",
-    "amicable_rectangle_pairs_exhaustive",
-    "census_row",
-    "census_rows",
-    "classify",
-    "classify_invariants",
-    "companion",
-    "companion_base_range",
-    "companion_bases_exhaustive",
-    "companion_exists_bruteforce",
-    "companion_from_invariants",
-    "count_amicable",
-    "count_amicable_exhaustive",
-    "decimal_to_int",
-    "decide",
-    "enumerate_by_area",
-    "enumerate_by_perimeter",
-    "exists_heronian_with",
-    "family_pair",
-    "fib",
-    "fib_iterative",
-    "int_to_decimal",
-    "is_amicable",
-    "is_amicable_invariants",
-    "is_self_amicable",
-    "lucas",
-    "lucas_iterative",
-    "model_vertices",
-    "non_amicable_witness_area",
-    "non_amicable_witness_perimeter",
-    "render_svg",
-    "smallest_amicable",
-    "verify_family",
-    "verify_pair",
-    "__version__",
-]
+# The home module of every exported name, each name listed once.
+_EXPORTS = {
+    "amicability": (
+        "NotAmicable",
+        "Reason",
+        "Verdict",
+        "all_companion_bases",
+        "classify",
+        "classify_invariants",
+        "companion",
+        "companion_base_range",
+        "companion_bases_exhaustive",
+        "companion_exists_bruteforce",
+        "companion_from_invariants",
+        "decide",
+        "exists_heronian_with",
+        "is_amicable",
+        "is_amicable_invariants",
+        "is_self_amicable",
+        "verify_pair",
+    ),
+    "census": (
+        "CSV_HEADER",
+        "CensusRow",
+        "PerimeterCounts",
+        "RectanglePair",
+        "amicable_rectangle_pairs",
+        "amicable_rectangle_pairs_exhaustive",
+        "census_row",
+        "census_rows",
+        "count_amicable",
+        "count_amicable_exhaustive",
+        "enumerate_by_area",
+        "enumerate_by_perimeter",
+        "non_amicable_witness_area",
+        "non_amicable_witness_perimeter",
+        "smallest_amicable",
+    ),
+    "core": (
+        "AreaOutOfRange",
+        "CanonicalKey",
+        "HeronianError",
+        "InvalidPerimeter",
+        "NonIntegerArea",
+        "NonIntegerDimension",
+        "Parallelogram",
+        "SideTooShort",
+        "ZeroDimension",
+        "decimal_to_int",
+        "int_to_decimal",
+    ),
+    "families": (
+        "FamilyEntry",
+        "FamilyReportRow",
+        "IndexTooSmall",
+        "family_pair",
+        "fib",
+        "fib_iterative",
+        "lucas",
+        "lucas_iterative",
+        "verify_family",
+    ),
+    "render": ("RenderError", "RenderSpec", "model_vertices", "render_svg"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups find it without this call
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

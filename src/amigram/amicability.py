@@ -52,6 +52,7 @@ from .core import (
     require_positive_area,
     slot_setters,
     splits_at_least,
+    value_repr,
 )
 
 
@@ -97,8 +98,8 @@ class Verdict:
         # which to_json_dict would print as a number.
         if not amicable is (reason is _OK) is (companion is not None):
             raise ValueError(
-                f"inconsistent verdict: Verdict(amicable={amicable!r}, "
-                f"reason={reason!r}, companion={companion!r})"
+                f"inconsistent verdict: Verdict(amicable={value_repr(amicable)}, "
+                f"reason={value_repr(reason)}, companion={value_repr(companion)})"
             )
         _set_amicable(self, amicable)
         _set_reason(self, reason)

@@ -33,6 +33,7 @@ from .amicability import Reason, closed_form, is_amicable, is_self_amicable, lea
 from .core import (
     HeronianError,
     Parallelogram,
+    fields_repr,
     int_to_decimal,
     rebind_frozen_slots,
     require_even_perimeter,
@@ -56,6 +57,8 @@ class CensusRow:
     perimeter: int
     amicable: bool
     self_amicable: bool
+
+    __repr__ = fields_repr
 
     def __post_init__(self) -> None:
         # Identity, not equality: a flag of 1 or 0 would print as a number
@@ -106,6 +109,8 @@ class PerimeterCounts:
     total: int
     amicable: int
     self_amicable: int
+
+    __repr__ = fields_repr
 
 
 @dataclass(frozen=True)

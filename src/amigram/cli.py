@@ -29,24 +29,15 @@ from .amicability import (
     closed_form,
     companion_scan,
 )
-from .census import (
-    CSV_HEADER,
-    CensusRow,
-    RectanglePair,
-    amicable_rectangle_pairs,
-    census_rows,
-    non_amicable_witness_area,
-    non_amicable_witness_perimeter,
-    perimeter_counts,
-)
 from .core import (
     HeronianError,
     Parallelogram,
     decimal_to_int,
     require_even_perimeter,
 )
-from .families import FamilyReportRow, verify_family
-from .render import RenderSpec, render_svg
+
+# census, families and render are imported inside the handlers that use
+# them, so a subcommand loads only the modules it runs.
 
 
 def _report(message) -> int:
@@ -115,6 +106,8 @@ def _cmd_check(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_family(args) -> tuple[int, Iterable[str]]:
+    from .families import FamilyReportRow, verify_family
+
     rows = verify_family(args.start, args.stop)
     code = 0 if all(row.passed for row in rows) else 2
     return code, map(FamilyReportRow.to_json_text, rows)
@@ -141,6 +134,8 @@ def _cmd_verify(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
+    from .census import CSV_HEADER, CensusRow, census_rows
+
     rows = census_rows(args.perimeter)  # checks the perimeter now
     if args.amicable_only:
         rows = (row for row in rows if row.amicable)
@@ -150,6 +145,8 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_census(args) -> tuple[int, Iterable[str]]:
+    from .census import perimeter_counts
+
     require_even_perimeter(args.max_perimeter)  # before the first line
     counts = map(perimeter_counts, range(4, args.max_perimeter + 1, 2))
     return 0, chain(
@@ -159,11 +156,15 @@ def _cmd_census(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_rectangles(args) -> tuple[int, Iterable[str]]:
+    from .census import RectanglePair, amicable_rectangle_pairs
+
     ordered = sorted(amicable_rectangle_pairs(), key=lambda p: not p.distinct)  # distinct first
     return 0, map(RectanglePair.to_json_text, ordered)
 
 
 def _cmd_witness(args) -> tuple[int, Iterable[str]]:
+    from .census import non_amicable_witness_area, non_amicable_witness_perimeter
+
     if args.area is not None:
         shape = non_amicable_witness_area(args.area)
     else:
@@ -172,6 +173,8 @@ def _cmd_witness(args) -> tuple[int, Iterable[str]]:
 
 
 def _cmd_render(args) -> tuple[int, Iterable[str]]:
+    from .render import RenderSpec, render_svg
+
     spec = RenderSpec(
         parallelogram=Parallelogram(args.base, args.side, args.area),
         include_companion=args.companion,

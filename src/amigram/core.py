@@ -100,6 +100,24 @@ def _value_of(digits: str) -> int:
     )
 
 
+def value_repr(value: object) -> str:
+    """``repr(value)``, with a plain int printed past the digit limit too."""
+    return int_to_decimal(value) if type(value) is int else repr(value)
+
+
+def fields_repr(self) -> str:
+    """The dataclass-generated ``__repr__``, past the int/str digit limit too.
+
+    The generated repr's ``!r`` fails on an int of more digits than the
+    limit; this one prints each field through :func:`value_repr`.  Assign it
+    as ``__repr__`` in the class body, where ``@dataclass`` keeps it.
+    """
+    values = ", ".join(
+        f"{field.name}={value_repr(getattr(self, field.name))}" for field in fields(self)
+    )
+    return f"{type(self).__qualname__}({values})"
+
+
 def slot_setters(cls: type) -> tuple:
     """The ``__set__`` of each field's slot descriptor, in field order.
 
@@ -192,12 +210,7 @@ class Parallelogram:
         _set_side(self, side)
         _set_area(self, area)
 
-    def __repr__(self) -> str:
-        # The generated repr's !r fails past the int/str digit limit.
-        return (
-            f"{type(self).__qualname__}(base={int_to_decimal(self.base)}, "
-            f"side={int_to_decimal(self.side)}, area={int_to_decimal(self.area)})"
-        )
+    __repr__ = fields_repr
 
     @classmethod
     def from_base_height_side(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import amicability
-from .core import HeronianError, Parallelogram, int_to_decimal, require_int
+from .core import HeronianError, Parallelogram, fields_repr, int_to_decimal, require_int
 
 _LABEL_BAND = 28  # px reserved under the shapes for the caption line
 _FONT_SIZE = 13
@@ -42,6 +42,8 @@ class RenderSpec:
     width: int = 640
     height: int = 360
     margin: int = 24
+
+    __repr__ = fields_repr
 
     def __post_init__(self) -> None:
         if not isinstance(self.parallelogram, Parallelogram):

@@ -19,6 +19,7 @@ from amigram.families import FamilyReportRow
 from amigram.render import RenderSpec, render_svg
 import amigram.amicability as amicability
 import amigram.cli as cli
+import amigram.families as families
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -413,7 +414,9 @@ class TestCommonBehavior:
     def test_injected_family_failure_exits_2(self, monkeypatch, capsys):
         entry = FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26))
         fake = [FamilyReportRow(entry, {"pair": False})]
-        monkeypatch.setattr(cli, "verify_family", lambda start, stop: fake)
+        # The family handler imports verify_family from its home module
+        # when it runs, so the fake goes there.
+        monkeypatch.setattr(families, "verify_family", lambda start, stop: fake)
         code = cli.main(["family", "--from", "4", "--to", "4"])
         out = capsys.readouterr().out
         assert code == 2

@@ -10,8 +10,9 @@ rows and tallies, all slots dataclasses, refuse any attribute with
 ``FrozenInstanceError``, field or not.  Census rows and family report rows
 refuse a flag or check value that is not a bool, as a verdict does.
 Family entries and report rows are slots dataclasses as well, and a row's
-checks are a read-only copy.  A shape prints, and a JSON field is refused
-with its name, past CPython's int/str digit limit too.
+checks are a read-only copy.  A shape, a verdict's refusal, a census row
+and tally and a render spec print, and a JSON field is refused with its
+name, past CPython's int/str digit limit too.
 """
 
 import copy
@@ -34,10 +35,12 @@ from amigram import (
     Parallelogram,
     PerimeterCounts,
     Reason,
+    RenderSpec,
     Verdict,
     ZeroDimension,
     verify_family,
 )
+from amigram.census import perimeter_counts
 
 # Plain frozen dataclasses with the same names and fields, as references.
 RefParallelogram = dataclasses.make_dataclass(
@@ -305,6 +308,82 @@ def test_shapes_and_verdicts_print_past_the_digit_limit(digit_limit, digits):
     )
     assert repr(Verdict(True, Reason.OK, shape)) == (
         f"Verdict(amicable=True, reason=<Reason.OK: 'OK'>, companion={text})"
+    )
+
+
+@pytest.mark.parametrize("digits", [600, 1000, 5000])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_verdict_refusal_prints_an_int_field_past_the_digit_limit(digit_limit, digits, position):
+    # Each triple is inconsistent, with the int in one of its three fields.
+    args = [[None, Reason.OK, None], [True, None, None], [False, Reason.OK, None]][position]
+    shown = [repr(value) for value in args]
+    args[position] = 10 ** (digits - 1)
+    shown[position] = "1" + "0" * (digits - 1)
+    with pytest.raises(ValueError) as info:
+        Verdict(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == (
+        f"inconsistent verdict: Verdict(amicable={shown[0]}, "
+        f"reason={shown[1]}, companion={shown[2]})"
+    )
+
+
+# Plain dataclasses with the same names and fields, whose generated repr
+# the written-out one must match wherever that repr prints at all.
+REF_REPR = {
+    CensusRow: dataclasses.make_dataclass(
+        "CensusRow",
+        ["short_side", "long_side", "area", "perimeter", "amicable", "self_amicable"],
+    ),
+    PerimeterCounts: dataclasses.make_dataclass(
+        "PerimeterCounts", ["perimeter", "total", "amicable", "self_amicable"]
+    ),
+    RenderSpec: dataclasses.make_dataclass(
+        "RenderSpec", ["parallelogram", "include_companion", "width", "height", "margin"]
+    ),
+}
+
+
+def printed_values():
+    """A census row, a tally and a render spec holding ints of any size."""
+    size = st.one_of(st.integers(1, 10**30), st.integers(10**599, 10**5000))
+    flag = st.booleans()
+    row = st.builds(CensusRow, size, size, size, size, flag, flag)
+    tally = st.builds(PerimeterCounts, size, size, size, size)
+    spec = st.builds(
+        RenderSpec, st.builds(Parallelogram, size, size, st.just(1)), flag, size, size, size
+    )
+    return st.one_of(row, tally, spec)
+
+
+@given(printed_values())
+def test_census_values_and_render_specs_print_at_any_size(value):
+    # The generated repr, printed with the digit limit lifted, is the text.
+    fields = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = repr(REF_REPR[type(value)](*fields))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert repr(value) == expected
+
+
+def test_census_row_and_tally_print_past_the_digit_limit(digit_limit):
+    n = BIG
+    text = repr(CensusRow(1, n, n, 2 * (n + 1), True, False))
+    big, perimeter = "1" + "0" * 5000, "2" + "0" * 4999 + "2"
+    assert text == (
+        f"CensusRow(short_side=1, long_side={big}, area={big}, "
+        f"perimeter={perimeter}, amicable=True, self_amicable=False)"
+    )
+    counts = perimeter_counts(2 * n)
+    assert repr(counts).startswith(f"PerimeterCounts(perimeter=2{'0' * 5000}, total=")
+    assert repr(counts).count("=") == 4
+    spec = RenderSpec(Parallelogram(7, 6, 42), width=n)
+    assert repr(spec) == (
+        "RenderSpec(parallelogram=Parallelogram(base=7, side=6, area=42), "
+        f"include_companion=False, width={big}, height=360, margin=24)"
     )
 
 
