@@ -82,7 +82,9 @@ class NotAmicable(HeronianError):
 class Verdict:
     """Amicability decision with a machine-checkable reason.
 
-    ``amicable`` is true iff ``reason`` is OK iff ``companion`` is present.
+    ``amicable`` is true iff ``reason`` is OK iff ``companion`` is present,
+    and the fields are a bool, a :class:`Reason` and a ``Parallelogram``
+    or None; any other triple is refused.
     """
 
     amicable: bool
@@ -95,8 +97,13 @@ class Verdict:
         # Written out like Parallelogram's: the check runs before the fields
         # are stored, and an OK verdict is built once per amicable shape.
         # Identity, not equality, so that amicable is a bool and not 1 or 0,
-        # which to_json_dict would print as a number.
-        if not amicable is (reason is _OK) is (companion is not None):
+        # which to_json_dict would print as a number, and the reason is a
+        # Reason, whose value both wire methods print.
+        if not (
+            amicable is True and type(companion) is Parallelogram
+            if reason is _OK
+            else amicable is False and companion is None and type(reason) is Reason
+        ):
             raise ValueError(
                 f"inconsistent verdict: Verdict(amicable={value_repr(amicable)}, "
                 f"reason={value_repr(reason)}, companion={value_repr(companion)})"

@@ -3,9 +3,12 @@
 Enumeration is canonical: each shape appears once, as its unordered side
 pair plus area, and streams are emitted in a fixed order so text output is
 byte-stable.  The module also builds non-amicable witnesses for any target
-area or perimeter, and re-derives from scratch the amicable rectangle
-pairs (rectangles where the area of each equals the perimeter of the
-other) by bounded brute force.
+area or perimeter, and solves for the amicable rectangle pairs
+(rectangles where the area of each equals the perimeter of the other)
+rather than searching for them: for a x b and c x d with short sides a and
+c, substituting d = ab/2 - c into cd = 2(a + b) gives
+b(ac - 4) = 2(2a + c^2), and ab <= 4d, cd <= 4b give ac <= 16, so the 42
+short-side pairs with 4 < ac <= 16 yield the complete list.
 
 The census is counted, not enumerated.  By the paper's condition (A even
 and A^2 >= 16*P) the amicable areas of a perimeter are the even areas from
@@ -17,8 +20,8 @@ over such splits have a closed form: :func:`perimeter_counts` is one row
 in O(1) arithmetic, :func:`count_amicable` is the list of them, and the
 ``census`` command streams them.
 
-The census and the rectangle search each have a fast route and keep the
-literal search they replaced (:func:`count_amicable_exhaustive`,
+The census and the rectangle pairs each have a fast route and keep the
+literal search it replaced (:func:`count_amicable_exhaustive`,
 :func:`amicable_rectangle_pairs_exhaustive`) as its test oracle.
 """
 
@@ -120,6 +123,20 @@ class RectanglePair:
 
     first: tuple[int, int]
     second: tuple[int, int]
+
+    __repr__ = fields_repr
+
+    def __post_init__(self) -> None:
+        # Identity tests: a side of "1" or True would print as 1 or True
+        # from to_json_text but as "1" or true from json.dumps(to_json_dict()).
+        for name in ("first", "second"):
+            member = getattr(self, name)
+            if type(member) is not tuple:
+                raise HeronianError(f"{name} must be a tuple, got {type(member).__name__}")
+            if len(member) != 2:
+                raise HeronianError(f"{name} must hold two sides, got {len(member)}")
+            for side in member:
+                require_int(side, "side")
 
     @property
     def distinct(self) -> bool:
@@ -303,38 +320,40 @@ def non_amicable_witness_perimeter(perimeter: int) -> Parallelogram:
     return Parallelogram(1, perimeter // 2 - 1, 1)
 
 
-# a*c <= 16 for the shorter sides of a pair (see amicable_rectangle_pairs),
-# and c >= 1 leaves a <= 16.
-_MAX_SHORT_SIDE = 16
-
-
 def amicable_rectangle_pairs(max_side: int = 1000) -> list[RectanglePair]:
     """All amicable rectangle pairs with a member whose sides are at most
-    ``max_side``, self-pairs included.
+    ``max_side``, self-pairs included, solved rather than searched.
 
-    For a first rectangle a x b, a partner c x d must satisfy
-    c + d = a*b/2 and c*d = 2*(a + b), so c and d are the integer roots of
-    x^2 - (a*b/2)x + 2(a+b), solved exactly.  Multiplying the two equations
-    and using a + b <= 2b, c + d <= 2d shows the shorter sides satisfy
-    a*c <= 16, so only first members with a <= 16 are tried, which finds
-    the same pairs as :func:`amicable_rectangle_pairs_exhaustive`.  The
-    default bound is generous: back-substitution keeps the longer sides far
-    below 1000, and raising the bound is expected to change nothing.
+    Rectangles a x b and c x d (a <= b, c <= d) are amicable when
+    c + d = a*b/2 and c*d = 2*(a + b).  Substituting d = a*b/2 - c into the
+    second equation gives b*(a*c - 4) = 2*(2*a + c^2), so a*c > 4 and the
+    short sides fix b.  They also bound each other: a*b = 2(c + d) <= 4d
+    and c*d = 2(a + b) <= 4b multiply to a*c <= 16.  So the 42 pairs (a, c)
+    with 4 < a*c <= 16 give every amicable pair there is, and the list is
+    complete for every ``max_side``: a candidate is kept when b is an
+    integer >= a, a*b is even and d = a*b/2 - c >= c (c*d = 2(a + b) then
+    follows), and some member's long side is at most ``max_side``.  Its
+    oracle is :func:`amicable_rectangle_pairs_exhaustive`.
     """
-    return _rectangle_pairs(_MAX_SHORT_SIDE, max_side)
+    require_int(max_side, "max_side")
+    found = set()
+    for a in range(1, 17):
+        for c in range(4 // a + 1, 16 // a + 1):
+            b, rest = divmod(2 * (2 * a + c * c), a * c - 4)
+            d = a * b // 2 - c
+            if not rest and b >= a and not a * b % 2 and c <= d and min(b, d) <= max_side:
+                found.add(tuple(sorted([(a, b), (c, d)])))
+    return [RectanglePair(first, second) for first, second in sorted(found)]
 
 
 def amicable_rectangle_pairs_exhaustive(max_side: int = 1000) -> list[RectanglePair]:
-    """The same pairs by brute force over every first member with sides up
-    to ``max_side``.  The oracle for :func:`amicable_rectangle_pairs`."""
-    return _rectangle_pairs(max_side, max_side)
-
-
-def _rectangle_pairs(max_short: int, max_side: int) -> list[RectanglePair]:
-    """Pairs found from first members a x b, a <= max_short, a <= b <= max_side."""
+    """The same pairs by brute force over every first member a x b with
+    a <= b <= ``max_side``: the partner's sides c and d are the integer
+    roots of x^2 - (a*b/2)x + 2(a + b), solved exactly.  The oracle for
+    :func:`amicable_rectangle_pairs`."""
     require_int(max_side, "max_side")
-    found: dict[tuple, RectanglePair] = {}
-    for a in range(1, min(max_short, max_side) + 1):
+    found = set()
+    for a in range(1, max_side + 1):
         for b in range(a, max_side + 1):
             if (a * b) % 2:
                 continue
@@ -349,9 +368,8 @@ def _rectangle_pairs(max_short: int, max_side: int) -> list[RectanglePair]:
             # of its parity, so c below is an integer >= 1.
             c = (side_sum - root) // 2
             d = (side_sum + root) // 2
-            key = tuple(sorted([(a, b), (c, d)]))
-            found.setdefault(key, RectanglePair(key[0], key[1]))
-    return sorted(found.values(), key=lambda pair: (pair.first, pair.second))
+            found.add(tuple(sorted([(a, b), (c, d)])))
+    return [RectanglePair(first, second) for first, second in sorted(found)]
 
 
 def smallest_amicable() -> Parallelogram:

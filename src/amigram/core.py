@@ -101,20 +101,27 @@ def _value_of(digits: str) -> int:
 
 
 def value_repr(value: object) -> str:
-    """``repr(value)``, with a plain int printed past the digit limit too."""
-    return int_to_decimal(value) if type(value) is int else repr(value)
+    """``repr(value)``, with a plain int printed past the digit limit too,
+    also as an item of a plain tuple."""
+    if type(value) is int:
+        return int_to_decimal(value)
+    if type(value) is tuple:
+        items = ", ".join(map(value_repr, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return repr(value)
 
 
 def fields_repr(self) -> str:
-    """The dataclass-generated ``__repr__``, past the int/str digit limit too.
+    """The generated ``__repr__`` of a dataclass or a ``NamedTuple``, past
+    the int/str digit limit too.
 
     The generated repr's ``!r`` fails on an int of more digits than the
     limit; this one prints each field through :func:`value_repr`.  Assign it
-    as ``__repr__`` in the class body, where ``@dataclass`` keeps it.
+    as ``__repr__`` in the class body, where ``@dataclass`` and
+    ``NamedTuple`` keep it.
     """
-    values = ", ".join(
-        f"{field.name}={value_repr(getattr(self, field.name))}" for field in fields(self)
-    )
+    names = self._fields if isinstance(self, tuple) else [f.name for f in fields(self)]
+    values = ", ".join(f"{name}={value_repr(getattr(self, name))}" for name in names)
     return f"{type(self).__qualname__}({values})"
 
 
@@ -158,6 +165,8 @@ class CanonicalKey(NamedTuple):
     short_side: int
     long_side: int
     area: int
+
+    __repr__ = fields_repr
 
 
 @rebind_frozen_slots

@@ -35,6 +35,7 @@ from .amicability import is_amicable, verify_pair
 from .core import (
     HeronianError,
     Parallelogram,
+    fields_repr,
     int_to_decimal,
     rebind_frozen_slots,
     require_int,
@@ -122,8 +123,16 @@ class FamilyEntry:
     rectangle: Parallelogram
     partner: Parallelogram
 
+    __repr__ = fields_repr
+
     def __init__(self, n: int, rectangle: Parallelogram, partner: Parallelogram) -> None:
-        # Written out like Parallelogram's: one is built per index.
+        # Written out like Parallelogram's: one is built per index.  Only
+        # the types are checked, by identity; whether the members are a
+        # family pair is for verify_family to check and report.
+        if not (type(n) is int and type(rectangle) is type(partner) is Parallelogram):
+            require_int(n, "index")
+            kinds = f"{type(rectangle).__name__}, {type(partner).__name__}"
+            raise HeronianError(f"rectangle and partner must be Parallelograms, got ({kinds})")
         _set_n(self, n)
         _set_rectangle(self, rectangle)
         _set_partner(self, partner)

@@ -14,6 +14,7 @@ from amigram import (
     Parallelogram,
     PerimeterCounts,
     Reason,
+    RectanglePair,
     amicable_rectangle_pairs,
     amicable_rectangle_pairs_exhaustive,
     companion_base_range,
@@ -314,11 +315,45 @@ def test_huge_operands_are_checked_without_their_product():
     assert peak < 50_000
 
 
-@pytest.mark.parametrize("max_side", [20, 200])
+def short_side_loop_pairs(max_side):
+    """The search amicable_rectangle_pairs ran before its closed-form solve,
+    every first member a x b with a <= 16 and b <= max_side, kept verbatim
+    as a reference."""
+    found = {}
+    for a in range(1, min(16, max_side) + 1):
+        for b in range(a, max_side + 1):
+            if (a * b) % 2:
+                continue
+            side_sum = a * b // 2
+            disc = side_sum * side_sum - 8 * (a + b)
+            if disc < 0:
+                continue
+            root = isqrt(disc)
+            if root * root != disc:
+                continue
+            c = (side_sum - root) // 2
+            d = (side_sum + root) // 2
+            key = tuple(sorted([(a, b), (c, d)]))
+            found.setdefault(key, RectanglePair(key[0], key[1]))
+    return sorted(found.values(), key=lambda pair: (pair.first, pair.second))
+
+
+def test_rectangle_pairs_match_the_short_side_loop():
+    for max_side in range(-2, 301):
+        assert amicable_rectangle_pairs(max_side) == short_side_loop_pairs(max_side)
+
+
+@pytest.mark.parametrize("max_side", [*range(101), 200, 300, 1000])
 def test_rectangle_pairs_match_full_scan(max_side):
     assert amicable_rectangle_pairs(max_side) == amicable_rectangle_pairs_exhaustive(
         max_side
     )
+
+
+def test_rectangle_pairs_are_complete_at_any_bound():
+    # The solve is O(1) in max_side; a search to this bound would never end.
+    assert amicable_rectangle_pairs(10**18) == amicable_rectangle_pairs()
+    assert len(amicable_rectangle_pairs(10**5000)) == 7
 
 
 @given(n=st.integers(min_value=0, max_value=2000))

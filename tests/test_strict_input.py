@@ -173,13 +173,21 @@ class TestNonIntInvariants:
             (non_amicable_witness_area, (4.0,)),
             (non_amicable_witness_perimeter, (False,)),
             (amicable_rectangle_pairs, (2.5,)),
+            (amicable_rectangle_pairs, (True,)),
             (amicable_rectangle_pairs_exhaustive, ("16",)),
+            (amicable_rectangle_pairs_exhaustive, (True,)),
         ],
         ids=lambda value: getattr(value, "__name__", repr(value)),
     )
     def test_refused(self, function, args):
         with pytest.raises(NonIntegerDimension, match=r"must be an int, got \w+$"):
             function(*args)
+
+
+@pytest.mark.parametrize("max_side", [0, -1, -(10**30)])
+@pytest.mark.parametrize("function", [amicable_rectangle_pairs, amicable_rectangle_pairs_exhaustive])
+def test_rectangle_pairs_below_one_side_are_none(function, max_side):
+    assert function(max_side) == []
 
 
 @pytest.mark.parametrize("perimeter", [7, 2])

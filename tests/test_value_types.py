@@ -11,8 +11,10 @@ rows and tallies, all slots dataclasses, refuse any attribute with
 refuse a flag or check value that is not a bool, as a verdict does.
 Family entries and report rows are slots dataclasses as well, and a row's
 checks are a read-only copy.  A shape, a verdict's refusal, a census row
-and tally and a render spec print, and a JSON field is refused with its
-name, past CPython's int/str digit limit too.
+and tally, a render spec, a canonical key, a rectangle pair and a family
+entry print, and a JSON field is refused with its name, past CPython's
+int/str digit limit too.  A verdict, a rectangle pair and a family entry
+refuse a wrong-typed field when built.
 """
 
 import copy
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 from amigram import (
     AreaOutOfRange,
+    CanonicalKey,
     CensusRow,
     FamilyEntry,
     FamilyReportRow,
@@ -35,6 +38,7 @@ from amigram import (
     Parallelogram,
     PerimeterCounts,
     Reason,
+    RectanglePair,
     RenderSpec,
     Verdict,
     ZeroDimension,
@@ -409,3 +413,96 @@ def test_json_field_refusals_that_print_keep_their_text(value, shown):
     with pytest.raises(HeronianError) as info:
         Parallelogram.from_json_dict({"base": value, "side": "1", "area": "1"})
     assert str(info.value) == f"field 'base' must be a decimal integer, got {shown}"
+
+
+BIG_TEXT = "1" + "0" * 5000
+SHAPE = Parallelogram(7, 6, 42)
+SHAPE_TEXT = "Parallelogram(base=7, side=6, area=42)"
+
+
+def test_value_types_print_a_five_thousand_digit_int(digit_limit):
+    assert repr(CanonicalKey(1, 2, 3)) == "CanonicalKey(short_side=1, long_side=2, area=3)"
+    assert repr(CanonicalKey(BIG, BIG, BIG)) == (
+        f"CanonicalKey(short_side={BIG_TEXT}, long_side={BIG_TEXT}, area={BIG_TEXT})"
+    )
+    assert repr(RectanglePair((1, 54), (5, 22))) == (
+        "RectanglePair(first=(1, 54), second=(5, 22))"
+    )
+    assert repr(RectanglePair((1, BIG), (BIG, 22))) == (
+        f"RectanglePair(first=(1, {BIG_TEXT}), second=({BIG_TEXT}, 22))"
+    )
+    assert repr(FamilyEntry(BIG, SHAPE, SHAPE)) == (
+        f"FamilyEntry(n={BIG_TEXT}, rectangle={SHAPE_TEXT}, partner={SHAPE_TEXT})"
+    )
+    # A verdict admits no int field; its refusal prints the int.
+    with pytest.raises(ValueError) as info:
+        Verdict(False, BIG, None)
+    assert str(info.value) == (
+        f"inconsistent verdict: Verdict(amicable=False, reason={BIG_TEXT}, companion=None)"
+    )
+
+
+@pytest.mark.parametrize(
+    "args,shown",
+    [
+        ((False, 12345, None), "amicable=False, reason=12345, companion=None"),
+        ((False, "ODD_AREA", None), "amicable=False, reason='ODD_AREA', companion=None"),
+        ((True, Reason.OK, (7, 6, 42)),
+         "amicable=True, reason=<Reason.OK: 'OK'>, companion=(7, 6, 42)"),
+        ((False, Reason.BOUND_FAIL, "none"),
+         "amicable=False, reason=<Reason.BOUND_FAIL: 'BOUND_FAIL'>, companion='none'"),
+    ],
+    ids=["int_reason", "str_reason", "tuple_companion", "str_companion"],
+)
+def test_verdict_refuses_a_wrong_typed_reason_or_companion(args, shown):
+    with pytest.raises(ValueError) as info:
+        Verdict(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"inconsistent verdict: Verdict({shown})"
+
+
+@pytest.mark.parametrize(
+    "args,error,message",
+    [
+        ((("1", 54), (5, 22)), NonIntegerDimension, "side must be an int, got str"),
+        (((1, 54), (5, True)), NonIntegerDimension, "side must be an int, got bool"),
+        (((1, 54.0), (5, 22)), NonIntegerDimension, "side must be an int, got float"),
+        (([1, 54], (5, 22)), HeronianError, "first must be a tuple, got list"),
+        (((1, 54), None), HeronianError, "second must be a tuple, got NoneType"),
+        (((1, 54), (5, 22, 1)), HeronianError, "second must hold two sides, got 3"),
+    ],
+    ids=["str_side", "bool_side", "float_side", "list_member", "none_member", "three_sides"],
+)
+def test_rectangle_pair_refuses_a_member_that_is_not_two_ints(args, error, message):
+    with pytest.raises(error) as info:
+        RectanglePair(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    with pytest.raises(error):
+        dataclasses.replace(RectanglePair((1, 54), (5, 22)), first=args[0], second=args[1])
+
+
+@pytest.mark.parametrize(
+    "args,error,message",
+    [
+        (("4", SHAPE, SHAPE), NonIntegerDimension, "index must be an int, got str"),
+        ((True, SHAPE, SHAPE), NonIntegerDimension, "index must be an int, got bool"),
+        ((4, (7, 6, 42), SHAPE), HeronianError,
+         "rectangle and partner must be Parallelograms, got (tuple, Parallelogram)"),
+        ((4, SHAPE, None), HeronianError,
+         "rectangle and partner must be Parallelograms, got (Parallelogram, NoneType)"),
+    ],
+    ids=["str_index", "bool_index", "tuple_rectangle", "none_partner"],
+)
+def test_family_entry_refuses_wrong_typed_fields(args, error, message):
+    with pytest.raises(error) as info:
+        FamilyEntry(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_family_entry_checks_types_only():
+    # Not a family pair at all, but well typed: verify_family reports such
+    # an entry as failing rather than the constructor refusing it.
+    entry = FamilyEntry(5, SHAPE, SHAPE)
+    assert FamilyReportRow(entry, {"pair": False}).passed is False
