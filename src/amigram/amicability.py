@@ -37,7 +37,6 @@ Likewise :func:`companion_bases_exhaustive` is the literal scan that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 
@@ -46,13 +45,13 @@ from .core import (
     Parallelogram,
     exceeds_product,
     int_to_decimal,
-    rebind_frozen_slots,
     require_even_perimeter,
     require_int,
     require_positive_area,
     slot_setters,
     splits_at_least,
     value_repr,
+    value_type,
 )
 
 
@@ -77,8 +76,7 @@ class NotAmicable(HeronianError):
         self.reason = reason
 
 
-@rebind_frozen_slots
-@dataclass(frozen=True, slots=True)
+@value_type
 class Verdict:
     """Amicability decision with a machine-checkable reason.
 

@@ -27,7 +27,6 @@ literal search it replaced (:func:`count_amicable_exhaustive`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from math import isqrt
 from typing import Iterator
@@ -36,21 +35,19 @@ from .amicability import Reason, closed_form, is_amicable, is_self_amicable, lea
 from .core import (
     HeronianError,
     Parallelogram,
-    fields_repr,
     int_to_decimal,
-    rebind_frozen_slots,
     require_even_perimeter,
     require_int,
     require_positive_area,
     splits_at_least,
+    value_type,
 )
 
 CSV_HEADER = "short_side,long_side,area,perimeter,amicable,self_amicable"
 _OK = Reason.OK
 
 
-@rebind_frozen_slots
-@dataclass(frozen=True, slots=True)
+@value_type
 class CensusRow:
     """One canonical parallelogram with its amicability flags."""
 
@@ -60,8 +57,6 @@ class CensusRow:
     perimeter: int
     amicable: bool
     self_amicable: bool
-
-    __repr__ = fields_repr
 
     def __post_init__(self) -> None:
         # Identity, not equality: a flag of 1 or 0 would print as a number
@@ -99,8 +94,7 @@ class CensusRow:
         )
 
 
-@rebind_frozen_slots
-@dataclass(frozen=True, slots=True)
+@value_type
 class PerimeterCounts:
     """Census tallies for a single perimeter value.
 
@@ -113,18 +107,14 @@ class PerimeterCounts:
     amicable: int
     self_amicable: int
 
-    __repr__ = fields_repr
 
-
-@dataclass(frozen=True)
+@value_type
 class RectanglePair:
     """Two rectangles, each stored as (short side, long side), where the
     area of each equals the perimeter of the other."""
 
     first: tuple[int, int]
     second: tuple[int, int]
-
-    __repr__ = fields_repr
 
     def __post_init__(self) -> None:
         # Identity tests: a side of "1" or True would print as 1 or True

@@ -116,9 +116,9 @@ def fields_repr(self) -> str:
     the int/str digit limit too.
 
     The generated repr's ``!r`` fails on an int of more digits than the
-    limit; this one prints each field through :func:`value_repr`.  Assign it
-    as ``__repr__`` in the class body, where ``@dataclass`` and
-    ``NamedTuple`` keep it.
+    limit; this one prints each field through :func:`value_repr`.
+    :func:`value_type` sets it on every dataclass value type; a
+    ``NamedTuple`` assigns it as ``__repr__`` in its class body.
     """
     names = self._fields if isinstance(self, tuple) else [f.name for f in fields(self)]
     values = ", ".join(f"{name}={value_repr(getattr(self, name))}" for name in names)
@@ -128,24 +128,28 @@ def fields_repr(self) -> str:
 def slot_setters(cls: type) -> tuple:
     """The ``__set__`` of each field's slot descriptor, in field order.
 
-    For the hand-written ``__init__`` of a ``@dataclass(frozen=True,
-    slots=True)``: ``setter(self, value)`` stores a validated field past the
+    For the hand-written ``__init__`` of a :func:`value_type`:
+    ``setter(self, value)`` stores a validated field past the
     frozen ``__setattr__``, as ``object.__setattr__`` would, without looking
     the descriptor up by name on each call.
     """
     return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
 
 
-def rebind_frozen_slots(cls: type) -> type:
-    """Make a ``@dataclass(frozen=True, slots=True)`` refuse every assignment.
+def value_type(cls: type) -> type:
+    """Declare an exact value type: ``@dataclass(frozen=True, slots=True)``
+    with :func:`fields_repr` as its repr, refusing every assignment.
 
-    ``slots=True`` rebuilds the class, but the generated frozen
-    ``__setattr__`` and ``__delattr__`` still refer to the class from before,
-    so assigning or deleting a non-field attribute fails inside ``super()``
-    with a ``TypeError``.  Pointing their closure cells at the rebuilt class
-    makes them raise ``FrozenInstanceError``, as they do without slots.
-    Apply it above the ``@dataclass`` line.
+    ``dataclass`` keeps the repr set here, and a class-body ``__init__``,
+    through the slots rebuild.  That rebuild leaves the generated frozen
+    ``__setattr__`` and ``__delattr__`` referring to the class from before,
+    so assigning or deleting a non-field attribute would fail inside
+    ``super()`` with a ``TypeError``; pointing their closure cells at the
+    rebuilt class makes them raise ``FrozenInstanceError``, as they do
+    without slots.
     """
+    cls.__repr__ = fields_repr
+    cls = dataclass(frozen=True, slots=True)(cls)
     for name in ("__setattr__", "__delattr__"):
         for cell in cls.__dict__[name].__closure__ or ():
             old = cell.cell_contents
@@ -169,8 +173,7 @@ class CanonicalKey(NamedTuple):
     __repr__ = fields_repr
 
 
-@rebind_frozen_slots
-@dataclass(frozen=True, slots=True)
+@value_type
 class Parallelogram:
     """A Heronian parallelogram, stored as (base, side, area).
 
@@ -218,8 +221,6 @@ class Parallelogram:
         _set_base(self, base)
         _set_side(self, side)
         _set_area(self, area)
-
-    __repr__ = fields_repr
 
     @classmethod
     def from_base_height_side(

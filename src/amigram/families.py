@@ -28,18 +28,16 @@ their test oracles.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .amicability import is_amicable, verify_pair
 from .core import (
     HeronianError,
     Parallelogram,
-    fields_repr,
     int_to_decimal,
-    rebind_frozen_slots,
     require_int,
     slot_setters,
+    value_type,
 )
 
 
@@ -114,16 +112,13 @@ def lucas_iterative(n: int) -> int:
     return a
 
 
-@rebind_frozen_slots
-@dataclass(frozen=True, slots=True)
+@value_type
 class FamilyEntry:
     """Family member at index n: a rectangle and its amicable partner."""
 
     n: int
     rectangle: Parallelogram
     partner: Parallelogram
-
-    __repr__ = fields_repr
 
     def __init__(self, n: int, rectangle: Parallelogram, partner: Parallelogram) -> None:
         # Written out like Parallelogram's: one is built per index.  Only
@@ -141,8 +136,7 @@ class FamilyEntry:
 _set_n, _set_rectangle, _set_partner = slot_setters(FamilyEntry)
 
 
-@rebind_frozen_slots
-@dataclass(frozen=True, slots=True)
+@value_type
 class FamilyReportRow:
     """Outcome of the per-index checks run by :func:`verify_family`.
 

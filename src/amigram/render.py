@@ -14,10 +14,9 @@ canvas or shape too large for a float, is refused with :class:`RenderError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import amicability
-from .core import HeronianError, Parallelogram, fields_repr, int_to_decimal, require_int
+from .core import HeronianError, Parallelogram, int_to_decimal, require_int, value_type
 
 _LABEL_BAND = 28  # px reserved under the shapes for the caption line
 _FONT_SIZE = 13
@@ -27,7 +26,7 @@ class RenderError(HeronianError):
     """The canvas is too small, or the canvas or shape too large, to draw."""
 
 
-@dataclass(frozen=True)
+@value_type
 class RenderSpec:
     """What to draw and how large the canvas is, in pixels.
 
@@ -42,8 +41,6 @@ class RenderSpec:
     width: int = 640
     height: int = 360
     margin: int = 24
-
-    __repr__ = fields_repr
 
     def __post_init__(self) -> None:
         if not isinstance(self.parallelogram, Parallelogram):
