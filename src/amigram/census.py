@@ -36,6 +36,7 @@ from .core import (
     HeronianError,
     Parallelogram,
     int_to_decimal,
+    non_integer_fields,
     require_even_perimeter,
     require_int,
     require_positive_area,
@@ -60,7 +61,16 @@ class CensusRow:
 
     def __post_init__(self) -> None:
         # Identity, not equality: a flag of 1 or 0 would print as a number
-        # from to_json_dict and to_csv but as true or false from to_json_text.
+        # from to_json_dict and to_csv but as true or false from to_json_text,
+        # and a bool or other int subclass is refused where an int is due.
+        if not (
+            type(self.short_side) is type(self.long_side) is type(self.area)
+            is type(self.perimeter) is int
+        ):
+            raise non_integer_fields(
+                "short_side, long_side, area, and perimeter",
+                (self.short_side, self.long_side, self.area, self.perimeter),
+            )
         if not type(self.amicable) is type(self.self_amicable) is bool:
             kinds = f"{type(self.amicable).__name__}, {type(self.self_amicable).__name__}"
             raise HeronianError(f"amicable and self_amicable must be bools, got ({kinds})")
@@ -107,6 +117,17 @@ class PerimeterCounts:
     amicable: int
     self_amicable: int
 
+    def __post_init__(self) -> None:
+        # Identity, as in CensusRow: a bool or other int subclass is refused.
+        if not (
+            type(self.perimeter) is type(self.total) is type(self.amicable)
+            is type(self.self_amicable) is int
+        ):
+            raise non_integer_fields(
+                "perimeter, total, amicable, and self_amicable",
+                (self.perimeter, self.total, self.amicable, self.self_amicable),
+            )
+
 
 @value_type
 class RectanglePair:
@@ -141,7 +162,7 @@ class RectanglePair:
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json_dict())``, from one template."""
-        (a, b), (c, d) = self.first, self.second
+        a, b, c, d = map(int_to_decimal, (*self.first, *self.second))
         distinct = "true" if self.distinct else "false"
         return f'{{"first": [{a}, {b}], "second": [{c}, {d}], "distinct": {distinct}}}'
 

@@ -52,6 +52,13 @@ class InvalidPerimeter(HeronianError):
     """Parallelogram perimeters are even and at least 4."""
 
 
+def non_integer_fields(names: str, values: tuple) -> NonIntegerDimension:
+    """The refusal of fields ``names`` that must all be plain ints, naming
+    the type of each of ``values``."""
+    kinds = ", ".join(type(value).__name__ for value in values)
+    return NonIntegerDimension(f"{names} must be ints, got ({kinds})")
+
+
 def int_to_decimal(value: int) -> str:
     """Decimal text of any int, past CPython's int/str digit limit too.
 
@@ -158,17 +165,35 @@ def value_type(cls: type) -> type:
     return cls
 
 
-class CanonicalKey(NamedTuple):
+class _KeyFields(NamedTuple):
+    short_side: int
+    long_side: int
+    area: int
+
+
+class CanonicalKey(_KeyFields):
     """Geometric identity of a parallelogram for counting purposes.
 
     Which of the two sides is called the base is a presentation choice, as
     is the shear direction, so shapes are identified by the unordered side
-    pair plus the area.
+    pair plus the area.  A ``NamedTuple`` whose constructor, ``_make`` and
+    ``_replace`` refuse a field that is not a plain int.
     """
 
-    short_side: int
-    long_side: int
-    area: int
+    # A NamedTuple body may not define __new__ or _make, so they are
+    # written on this subclass of one.
+    __slots__ = ()
+
+    def __new__(cls, short_side: int, long_side: int, area: int) -> CanonicalKey:
+        if not type(short_side) is type(long_side) is type(area) is int:
+            raise non_integer_fields(
+                "short_side, long_side, and area", (short_side, long_side, area)
+            )
+        return tuple.__new__(cls, (short_side, long_side, area))
+
+    @classmethod
+    def _make(cls, iterable) -> CanonicalKey:
+        return cls(*iterable)
 
     __repr__ = fields_repr
 
@@ -193,10 +218,7 @@ class Parallelogram:
         # Written out rather than generated, so that validation runs before
         # the fields are stored and without a separate __post_init__ call.
         if not type(base) is type(side) is type(area) is int:
-            kinds = ", ".join(type(value).__name__ for value in (base, side, area))
-            raise NonIntegerDimension(
-                f"base, side, and area must be ints, got ({kinds})"
-            )
+            raise non_integer_fields("base, side, and area", (base, side, area))
         if base < 1 or side < 1 or area < 1:
             raise ZeroDimension(
                 f"base, side, and area must be positive, got ({int_to_decimal(base)}, "
@@ -279,9 +301,10 @@ class Parallelogram:
 
     @property
     def canonical_key(self) -> CanonicalKey:
+        # The fields are checked ints, so the key skips its own check.
         if self.base <= self.side:
-            return CanonicalKey(self.base, self.side, self.area)
-        return CanonicalKey(self.side, self.base, self.area)
+            return _new_tuple(CanonicalKey, (self.base, self.side, self.area))
+        return _new_tuple(CanonicalKey, (self.side, self.base, self.area))
 
     def swapped(self) -> Parallelogram:
         """The same shape with the base/side designation exchanged.
@@ -368,6 +391,7 @@ class Parallelogram:
 
 
 _set_base, _set_side, _set_area = slot_setters(Parallelogram)
+_new_tuple = tuple.__new__
 
 
 def _json_int(data: dict, key: str, parsed_text=None, parsed_value=None) -> int:

@@ -148,6 +148,14 @@ class FamilyReportRow:
     checks: MappingProxyType[str, bool]
 
     def __init__(self, entry: FamilyEntry, checks: Mapping[str, bool]) -> None:
+        # A dict, as verify_family passes, skips the slower ABC test.
+        if type(entry) is not FamilyEntry or not (
+            type(checks) is dict or isinstance(checks, Mapping)
+        ):
+            kinds = f"{type(entry).__name__}, {type(checks).__name__}"
+            raise HeronianError(
+                f"entry and checks must be a FamilyEntry and a mapping, got ({kinds})"
+            )
         checks = dict(checks)
         # Identity, not equality: a check of 1 or 0 would print as a number
         # from to_json_dict but as true or false from to_json_text.
@@ -184,7 +192,8 @@ class FamilyReportRow:
             [f'"{name}": {"true" if ok else "false"}' for name, ok in self.checks.items()]
         )
         return (
-            f'{{"n": {self.entry.n}, "h": {self.entry.rectangle.to_json_text()}, '
+            f'{{"n": {int_to_decimal(self.entry.n)}, '
+            f'"h": {self.entry.rectangle.to_json_text()}, '
             f'"c": {self.entry.partner.to_json_text()}, "checks": {{{checks}}}}}'
         )
 

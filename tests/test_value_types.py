@@ -15,8 +15,16 @@ and tally, a render spec, a canonical key, a rectangle pair and a family
 entry print, and a JSON field is refused with its name, past CPython's
 int/str digit limit too.  A verdict, a rectangle pair and a family entry
 refuse a wrong-typed field when built.
+
+The last part is one gate over every dataclass or ``NamedTuple`` that
+``amigram`` exports, found by walking ``amigram.__all__``: each must have a
+sample holding a 5000-digit int wherever its constructor admits one, print
+it through its repr and every wire method at CPython's default and lowest
+int/str digit limits, and refuse a wrong-typed field when built.  Each
+dataclass must be declared with ``core.value_type``.
 """
 
+import collections
 import copy
 import dataclasses
 import json
@@ -27,6 +35,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import amigram
 from amigram import (
     AreaOutOfRange,
     CanonicalKey,
@@ -45,6 +54,7 @@ from amigram import (
     verify_family,
 )
 from amigram.census import perimeter_counts
+from amigram.core import fields_repr
 
 # Plain frozen dataclasses with the same names and fields, as references.
 RefParallelogram = dataclasses.make_dataclass(
@@ -204,6 +214,12 @@ def test_verdict_accepts_exactly_the_consistent_triples(amicable, reason, compan
 FROZEN_SLOTS = SAMPLES + [
     CensusRow(6, 7, 42, 26, True, False),
     PerimeterCounts(26, 42, 11, 1),
+    RectanglePair((1, 54), (5, 22)),
+    RenderSpec(Parallelogram(7, 6, 42)),
+    FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26)),
+    FamilyReportRow(
+        FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26)), {"pair": True}
+    ),
 ]
 
 
@@ -506,3 +522,193 @@ def test_family_entry_checks_types_only():
     # an entry as failing rather than the constructor refusing it.
     entry = FamilyEntry(5, SHAPE, SHAPE)
     assert FamilyReportRow(entry, {"pair": False}).passed is False
+
+
+def test_canonical_key_refuses_a_field_that_is_not_an_int():
+    message = "short_side, long_side, and area must be ints, got (str, bool, NoneType)"
+    with pytest.raises(NonIntegerDimension) as info:
+        CanonicalKey("1", True, None)
+    assert str(info.value) == message
+    key = Parallelogram(7, 6, 42).canonical_key
+    assert type(key) is CanonicalKey and key == (6, 7, 42) and isinstance(key, tuple)
+    for wrong in ("42", True, 42.0, None):
+        with pytest.raises(NonIntegerDimension):
+            key._replace(area=wrong)
+        with pytest.raises(NonIntegerDimension):
+            CanonicalKey._make([6, 7, wrong])
+    assert key._replace(area=5) == CanonicalKey(6, 7, 5)
+    assert pickle.loads(pickle.dumps(key)) == key and copy.deepcopy(key) == key
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("wrong", ["4", True, 1.5, None], ids=repr)
+def test_perimeter_counts_refuse_a_field_that_is_not_an_int(position, wrong):
+    args = [26, 42, 11, 1]
+    args[position] = wrong
+    kinds = ", ".join(type(value).__name__ for value in args)
+    with pytest.raises(NonIntegerDimension) as info:
+        PerimeterCounts(*args)
+    assert str(info.value) == (
+        f"perimeter, total, amicable, and self_amicable must be ints, got ({kinds})"
+    )
+    name = dataclasses.fields(PerimeterCounts)[position].name
+    with pytest.raises(NonIntegerDimension):
+        dataclasses.replace(PerimeterCounts(26, 42, 11, 1), **{name: wrong})
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("wrong", ["6", True, 6.0, None], ids=repr)
+def test_census_row_refuses_a_number_that_is_not_an_int(position, wrong):
+    args = [6, 7, 42, 26, True, False]
+    args[position] = wrong
+    kinds = ", ".join(type(value).__name__ for value in args[:4])
+    with pytest.raises(NonIntegerDimension) as info:
+        CensusRow(*args)
+    assert str(info.value) == (
+        f"short_side, long_side, area, and perimeter must be ints, got ({kinds})"
+    )
+
+
+@pytest.mark.parametrize(
+    "args,kinds",
+    [
+        (((4, SHAPE, SHAPE), {"pair": True}), "tuple, dict"),
+        ((None, {"pair": True}), "NoneType, dict"),
+        ((FAMILY_ENTRY, [("pair", True)]), "FamilyEntry, list"),
+    ],
+    ids=["tuple_entry", "none_entry", "list_checks"],
+)
+def test_family_row_refuses_an_entry_or_checks_of_the_wrong_type(args, kinds):
+    with pytest.raises(HeronianError) as info:
+        FamilyReportRow(*args)
+    assert type(info.value) is HeronianError
+    assert str(info.value) == (
+        f"entry and checks must be a FamilyEntry and a mapping, got ({kinds})"
+    )
+
+
+# The value-type gate: every dataclass or NamedTuple amigram exports.
+
+
+def exported_value_types():
+    """Each class in ``amigram.__all__`` that is a dataclass or a NamedTuple."""
+    found = []
+    for name in amigram.__all__:
+        value = getattr(amigram, name)
+        if isinstance(value, type) and (
+            dataclasses.is_dataclass(value) or issubclass(value, tuple) and hasattr(value, "_fields")
+        ):
+            found.append(value)
+    return found
+
+
+VALUE_TYPES = exported_value_types()
+BIG_SHAPE = Parallelogram(BIG, BIG + 1, BIG)
+BIG_ENTRY = FamilyEntry(BIG, BIG_SHAPE, BIG_SHAPE)
+
+# One instance of each exported value type, holding a 5000-digit int
+# wherever its constructor admits one.
+BIG_SAMPLES = {
+    CanonicalKey: CanonicalKey(BIG, BIG, BIG),
+    CensusRow: CensusRow(BIG, BIG, BIG, BIG, True, False),
+    FamilyEntry: BIG_ENTRY,
+    FamilyReportRow: FamilyReportRow(BIG_ENTRY, {"pair": True, "identity": False}),
+    Parallelogram: BIG_SHAPE,
+    PerimeterCounts: PerimeterCounts(BIG, BIG, BIG, BIG),
+    RectanglePair: RectanglePair((BIG, BIG), (1, BIG)),
+    RenderSpec: RenderSpec(BIG_SHAPE, True, BIG, BIG, BIG),
+    Verdict: Verdict(True, Reason.OK, BIG_SHAPE),
+}
+
+
+def sample_of(cls):
+    assert cls in BIG_SAMPLES, f"exported value type {cls.__name__} has no sample"
+    value = BIG_SAMPLES[cls]
+    assert type(value) is cls
+    return value
+
+
+def field_names(cls):
+    if issubclass(cls, tuple):
+        return list(cls._fields)
+    return [field.name for field in dataclasses.fields(cls)]
+
+
+def lifted_digit_limit(action):
+    """``action()`` with the int/str digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return action()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def generated_repr(value):
+    """The repr a plain dataclass or namedtuple with these fields generates."""
+    cls = type(value)
+    names = field_names(cls)
+    if issubclass(cls, tuple):
+        plain = collections.namedtuple(cls.__name__, names)
+    else:
+        plain = dataclasses.make_dataclass(cls.__name__, names)
+    return lifted_digit_limit(lambda: repr(plain(*[getattr(value, name) for name in names])))
+
+
+def test_the_walk_finds_every_sampled_type():
+    assert sorted(VALUE_TYPES, key=repr) == sorted(BIG_SAMPLES, key=repr)
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_exported_value_types_print_past_the_digit_limit(digit_limit, cls):
+    value = sample_of(cls)
+    text = repr(value)
+    assert BIG_TEXT in text
+    assert text == generated_repr(value)
+    wire = [name for name in dir(cls) if name.startswith("to_")]
+    for name in wire:
+        try:
+            result = getattr(value, name)()
+        except HeronianError:
+            continue
+        assert type(result) is (dict if name == "to_json_dict" else str)
+    if "to_json_text" in wire:
+        expected = lifted_digit_limit(lambda: json.dumps(value.to_json_dict()))
+        assert value.to_json_text() == expected
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [cls for cls in VALUE_TYPES if dataclasses.is_dataclass(cls)],
+    ids=lambda cls: cls.__name__,
+)
+def test_exported_dataclasses_are_value_types(cls):
+    value = sample_of(cls)
+    assert cls.__repr__ is fields_repr
+    assert "__slots__" in cls.__dict__ and not hasattr(value, "__dict__")
+    for name in field_names(cls) + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+
+
+# A value of each kind; one whose type differs from a field's is wrong-typed
+# for it.
+FOREIGN = ["1", 1.5, True, 1, None, (1, 1)]
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_exported_value_types_refuse_a_wrong_typed_field(digit_limit, cls):
+    value = sample_of(cls)
+    names = field_names(cls)
+    # A verdict's refusal is the ValueError "inconsistent verdict: ...".
+    error = ValueError if cls is Verdict else HeronianError
+    for name in names:
+        for wrong in FOREIGN:
+            if type(wrong) is type(getattr(value, name)):
+                continue
+            args = {field: getattr(value, field) for field in names}
+            args[name] = wrong
+            with pytest.raises(error):
+                cls(**args)
