@@ -45,6 +45,7 @@ from .core import (
     Parallelogram,
     exceeds_product,
     int_to_decimal,
+    prechecked,
     require_even_perimeter,
     require_int,
     require_positive_area,
@@ -130,6 +131,7 @@ class Verdict:
 
 
 _set_amicable, _set_reason, _set_companion = slot_setters(Verdict)
+_prechecked_verdict = prechecked(Verdict)
 
 
 def closed_form(area: int, perimeter: int) -> Reason:
@@ -194,7 +196,9 @@ def _verdict(area: int, perimeter: int) -> Verdict:
     """Verdict for an int area and a checked perimeter."""
     reason = closed_form(area, perimeter)
     if reason is _OK:
-        return Verdict(True, _OK, _build_companion(area, perimeter))
+        # Consistent by construction: True, OK and the companion the checked
+        # constructor has just built, so the verdict skips its own check.
+        return _prechecked_verdict(True, _OK, _build_companion(area, perimeter))
     return _ODD_AREA_VERDICT if reason is _ODD_AREA else _BOUND_FAIL_VERDICT
 
 

@@ -37,6 +37,7 @@ from .core import (
     Parallelogram,
     int_to_decimal,
     non_integer_fields,
+    prechecked,
     require_even_perimeter,
     require_int,
     require_positive_area,
@@ -178,12 +179,17 @@ def enumerate_by_perimeter(perimeter: int) -> Iterator[Parallelogram]:
     return _shapes_with_perimeter(perimeter)
 
 
+_prechecked_shape = prechecked(Parallelogram)
+
+
 def _shapes_with_perimeter(perimeter: int) -> Iterator[Parallelogram]:
+    # Valid by construction, so built past the constructor's checks: ints
+    # with 1 <= short <= long and 1 <= area <= short*long.
     half = perimeter // 2
     for short in range(1, half // 2 + 1):
         long = half - short
         for area in range(1, short * long + 1):
-            yield Parallelogram(short, long, area)
+            yield _prechecked_shape(short, long, area)
 
 
 def enumerate_by_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:

@@ -14,9 +14,11 @@ All arithmetic in this module is exact: Python integers and
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # CPython refuses int<->str conversions of more than 4300 digits by default,
 # and no setting may go below 640; pieces of this many digits always convert.
@@ -143,6 +145,43 @@ def slot_setters(cls: type) -> tuple:
     return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
 
 
+def prechecked(cls: type):
+    """A builder of ``cls`` from fields already known valid, past its checks.
+
+    ``build(*fields)``, the fields positionally in field order, makes the
+    instance with ``object.__new__`` and stores each field through
+    :func:`slot_setters`, running none of the constructor's checks.  Only a
+    route whose fields are valid by construction may use it; every value
+    built from a caller's input goes through the constructor.  The builder
+    is written out per field count, as a loop over the setters costs more
+    than the checks it skips.
+    """
+    new = object.__new__
+    setters = slot_setters(cls)
+    if len(setters) == 3:
+        set_0, set_1, set_2 = setters
+
+        def build(field_0, field_1, field_2):
+            self = new(cls)
+            set_0(self, field_0)
+            set_1(self, field_1)
+            set_2(self, field_2)
+            return self
+
+    elif len(setters) == 2:
+        set_0, set_1 = setters
+
+        def build(field_0, field_1):
+            self = new(cls)
+            set_0(self, field_0)
+            set_1(self, field_1)
+            return self
+
+    else:
+        raise TypeError(f"no prechecked builder for {len(setters)} fields")
+    return build
+
+
 def value_type(cls: type) -> type:
     """Declare an exact value type: ``@dataclass(frozen=True, slots=True)``
     with :func:`fields_repr` as its repr, refusing every assignment.
@@ -257,7 +296,7 @@ class Parallelogram:
         """
         require_int(base, "base")
         require_int(side, "side")
-        if type(height) is not int and type(height) is not Fraction:
+        if type(height) is not int and type(height) is not _fraction_class():
             raise NonIntegerDimension(
                 f"height must be an int or a Fraction, got {type(height).__name__}"
             )
@@ -288,7 +327,7 @@ class Parallelogram:
     @property
     def height(self) -> Fraction:
         """Exact height area/base, in lowest terms.  Never exceeds side."""
-        return Fraction(self.area, self.base)
+        return _Fraction(self.area, self.base)
 
     @property
     def is_rectangle(self) -> bool:
@@ -392,6 +431,30 @@ class Parallelogram:
 
 _set_base, _set_side, _set_area = slot_setters(Parallelogram)
 _new_tuple = tuple.__new__
+
+
+def _fraction_class() -> type:
+    """``fractions.Fraction``, imported on first use and bound to
+    ``_Fraction``.
+
+    ``fractions`` brings ``decimal`` and ``numbers`` with it, and only
+    ``height`` and ``from_base_height_side`` need it, so a run that calls
+    neither never loads it.
+    """
+    global _Fraction
+    from fractions import Fraction
+
+    _Fraction = Fraction
+    return Fraction
+
+
+def _first_fraction(numerator: int, denominator: int) -> Fraction:
+    # What _Fraction is until fractions loads: height reads the global, so
+    # its calls after the first take no import statement.
+    return _fraction_class()(numerator, denominator)
+
+
+_Fraction = _first_fraction
 
 
 def _json_int(data: dict, key: str, parsed_text=None, parsed_value=None) -> int:

@@ -35,6 +35,7 @@ from .core import (
     HeronianError,
     Parallelogram,
     int_to_decimal,
+    prechecked,
     require_int,
     slot_setters,
     value_type,
@@ -158,8 +159,19 @@ class FamilyReportRow:
             )
         checks = dict(checks)
         # Identity, not equality: a check of 1 or 0 would print as a number
-        # from to_json_dict but as true or false from to_json_text.
+        # from to_json_dict but as true or false from to_json_text.  A name
+        # prints in to_json_text as it is, so it must be one that json.dumps
+        # does not escape: printable ASCII with no quote or backslash.
         for name, ok in checks.items():
+            if type(name) is not str:
+                raise HeronianError(f"check name must be a str, got {type(name).__name__}")
+            if not (
+                name.isascii() and name.isprintable() and '"' not in name and "\\" not in name
+            ):
+                raise HeronianError(
+                    f"check name {name!r:.40} must be printable ASCII "
+                    "with no quote or backslash"
+                )
             if type(ok) is not bool:
                 raise HeronianError(f"check {name!r} must be a bool, got {type(ok).__name__}")
         _set_entry(self, entry)
@@ -184,9 +196,8 @@ class FamilyReportRow:
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json_dict())``, from one template.
 
-        Each check name must print in JSON as it is, as the names
-        :func:`verify_family` gives do (no quote, backslash, control or
-        non-ASCII character).
+        The constructor has made sure each check name prints in JSON as it
+        is.
         """
         checks = ", ".join(
             [f'"{name}": {"true" if ok else "false"}' for name, ok in self.checks.items()]
@@ -199,6 +210,7 @@ class FamilyReportRow:
 
 
 _set_entry, _set_checks = slot_setters(FamilyReportRow)
+_prechecked_row = prechecked(FamilyReportRow)
 
 
 def family_pair(n: int) -> FamilyEntry:
@@ -253,7 +265,9 @@ def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
             "identity": f * ell == g + g1,
             "existence_bound": 2 * (f + 2 * f1) <= g1 * g,
         }
-        rows.append(FamilyReportRow(entry, checks))
+        # A FamilyEntry, five literal names and bools: valid by construction,
+        # so the row skips its checks, and no one else holds the dict.
+        rows.append(_prechecked_row(entry, MappingProxyType(checks)))
         f, f1 = f1, f + f1
         ell, ell1 = ell1, ell + ell1
         g, g1 = g + g1, g + 2 * g1  # F(2n), F(2n+1)

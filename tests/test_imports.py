@@ -2,8 +2,10 @@
 
 ``import amigram`` loads no submodule: each exported name comes from its
 home module on first use.  A CLI subcommand loads only the modules it runs,
-so a single request does not pay to import census, families and render.
-The lazy names behave as the eager imports did.
+so a single request does not pay to import census, families and render,
+and none of ``check``, ``verify`` and ``family`` loads ``fractions``, which
+only a shape's ``height`` and ``from_base_height_side`` need.  The lazy
+names behave as the eager imports did.
 """
 
 import ast
@@ -19,8 +21,12 @@ BASE = {"amigram", "amigram.amicability", "amigram.cli", "amigram.core"}
 
 
 def loaded_after(code):
-    """The amigram modules a fresh interpreter holds after running ``code``."""
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'amigram'))\n"
+    """The amigram modules, and ``fractions`` if loaded, that a fresh
+    interpreter holds after running ``code``."""
+    code += (
+        "\nprint(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'amigram' or m == 'fractions'))\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code],
         capture_output=True, text=True, check=True,
@@ -87,3 +93,25 @@ def test_from_import_of_a_submodule_returns_the_submodule():
     assert loaded_after(code) == {
         "amigram", "amigram.amicability", "amigram.census", "amigram.core", "amigram.render"
     }
+
+
+def test_fractions_loads_on_the_first_rational_height():
+    code = (
+        "from amigram import Parallelogram\n"
+        "shape = Parallelogram(4, 5, 6)\n"
+        "assert 'fractions' not in sys.modules\n"
+        "height = shape.height\n"
+        "from fractions import Fraction\n"
+        "assert type(height) is Fraction and height == Fraction(3, 2)\n"
+        "assert shape.height == Fraction(3, 2)\n"
+    )
+    assert loaded_after(code) == {"amigram", "amigram.core", "fractions"}
+    code = (
+        "from amigram import Parallelogram\n"
+        "shape = Parallelogram.from_base_height_side(4, 2, 5)\n"
+        "assert shape == Parallelogram(4, 5, 8)\n"
+        "assert 'fractions' not in sys.modules\n"
+        "from fractions import Fraction\n"
+        "assert Parallelogram.from_base_height_side(4, Fraction(3, 2), 5).area == 6\n"
+    )
+    assert loaded_after(code) == {"amigram", "amigram.core", "fractions"}

@@ -8,7 +8,8 @@ equality, hashing, repr, tuples, pickling and copying as a plain
 keeps its exception class and its message text.  These two and the census
 rows and tallies, all slots dataclasses, refuse any attribute with
 ``FrozenInstanceError``, field or not.  Census rows and family report rows
-refuse a flag or check value that is not a bool, as a verdict does.
+refuse a flag or check value that is not a bool, as a verdict does, and a
+report row refuses a check name that ``json.dumps`` would escape.
 Family entries and report rows are slots dataclasses as well, and a row's
 checks are a read-only copy.  A shape, a verdict's refusal, a census row
 and tally, a render spec, a canonical key, a rectangle pair and a family
@@ -32,7 +33,7 @@ import pickle
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import amigram
@@ -283,6 +284,45 @@ def test_family_row_checks_are_a_read_only_copy():
     assert row.to_json_text() == json.dumps(row.to_json_dict())
     with pytest.raises(HeronianError, match="^check 'pair' must be a bool, got int$"):
         dataclasses.replace(row, checks={**row.checks, "pair": 1})
+
+
+@given(st.one_of(st.text(), st.none(), st.integers(), st.binary()), st.booleans())
+@example('a"b', True)
+@example(None, True)
+@example("é", False)
+@example("a\nb", True)
+@example("a\\b", True)
+@example("\x7f", True)
+@example("", False)
+def test_family_row_check_names_are_refused_or_print_as_json_does(name, ok):
+    try:
+        row = FamilyReportRow(FAMILY_ENTRY, {name: ok})
+    except HeronianError as error:
+        assert type(error) is HeronianError
+        assert str(error).startswith("check name ")
+        return
+    assert row.to_json_text() == json.dumps(row.to_json_dict())
+    assert json.loads(row.to_json_text())["checks"] == {name: ok}
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        (None, "check name must be a str, got NoneType"),
+        (1, "check name must be a str, got int"),
+        ('a"b', "check name 'a\"b' must be printable ASCII with no quote or backslash"),
+        ("é", "check name 'é' must be printable ASCII with no quote or backslash"),
+        ("a\nb", "check name 'a\\nb' must be printable ASCII with no quote or backslash"),
+    ],
+    ids=["none", "int", "quote", "non_ascii", "newline"],
+)
+def test_family_row_refuses_a_check_name_json_would_escape(name, message):
+    with pytest.raises(HeronianError) as info:
+        FamilyReportRow(FAMILY_ENTRY, {name: True})
+    assert str(info.value) == message
+    row = FamilyReportRow(FAMILY_ENTRY, {"pair": True})
+    with pytest.raises(HeronianError, match="^check name "):
+        dataclasses.replace(row, checks={name: True})
 
 
 @pytest.mark.parametrize(
