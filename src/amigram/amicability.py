@@ -49,7 +49,6 @@ from .core import (
     require_even_perimeter,
     require_int,
     require_positive_area,
-    slot_setters,
     splits_at_least,
     value_repr,
     value_type,
@@ -90,14 +89,11 @@ class Verdict:
     reason: Reason
     companion: Parallelogram | None
 
-    def __init__(
-        self, amicable: bool, reason: Reason, companion: Parallelogram | None
-    ) -> None:
-        # Written out like Parallelogram's: the check runs before the fields
-        # are stored, and an OK verdict is built once per amicable shape.
+    def __post_init__(self) -> None:
         # Identity, not equality, so that amicable is a bool and not 1 or 0,
         # which to_json_dict would print as a number, and the reason is a
         # Reason, whose value both wire methods print.
+        amicable, reason, companion = self.amicable, self.reason, self.companion
         if not (
             amicable is True and type(companion) is Parallelogram
             if reason is _OK
@@ -107,9 +103,6 @@ class Verdict:
                 f"inconsistent verdict: Verdict(amicable={value_repr(amicable)}, "
                 f"reason={value_repr(reason)}, companion={value_repr(companion)})"
             )
-        _set_amicable(self, amicable)
-        _set_reason(self, reason)
-        _set_companion(self, companion)
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,7 +123,6 @@ class Verdict:
         )
 
 
-_set_amicable, _set_reason, _set_companion = slot_setters(Verdict)
 _prechecked_verdict = prechecked(Verdict)
 
 

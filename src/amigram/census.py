@@ -271,16 +271,8 @@ def perimeter_counts(perimeter: int) -> PerimeterCounts:
 
 def count_amicable(max_perimeter: int) -> list[PerimeterCounts]:
     """Per-perimeter tallies over every perimeter from 4 to ``max_perimeter``:
-    the :func:`perimeter_counts` row of each, O(1) arithmetic per perimeter.
-
-    With h = P/2, m = floor(h/2), T(k) = k(k+1)(3h - 2k - 1)/6 the sum of
-    the split products a(h - a) over a = 1..k, A0 the least amicable area
-    and a0, aP the least splits whose product reaches A0 and P, a row is
-    total = T(m), amicable = (T(m) - T(a0 - 1) - odd)/2
-    - (m - a0 + 1)(A0/2 - 1), where odd counts the odd products among the
-    splits a0..m, and self_amicable = m + 1 - aP (derived at
-    :func:`perimeter_counts`).  No shape is built and no split is walked.
-    Its oracle is :func:`count_amicable_exhaustive`, which builds every
+    the :func:`perimeter_counts` row of each, O(1) arithmetic per perimeter
+    (derived there).  No shape is built and no split is walked.  Its oracle is :func:`count_amicable_exhaustive`, which builds every
     shape and decides each one.
     """
     require_even_perimeter(max_perimeter)

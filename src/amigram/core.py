@@ -13,7 +13,7 @@ All arithmetic in this module is exact: Python integers and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -137,10 +137,11 @@ def fields_repr(self) -> str:
 def slot_setters(cls: type) -> tuple:
     """The ``__set__`` of each field's slot descriptor, in field order.
 
-    For the hand-written ``__init__`` of a :func:`value_type`:
-    ``setter(self, value)`` stores a validated field past the
-    frozen ``__setattr__``, as ``object.__setattr__`` would, without looking
-    the descriptor up by name on each call.
+    For the two written-out constructors, ``Parallelogram``'s and
+    ``FamilyReportRow``'s, and for :func:`prechecked`:
+    ``setter(self, value)`` stores a validated field past the frozen
+    ``__setattr__``, as ``object.__setattr__`` would, without looking the
+    descriptor up by name on each call.
     """
     return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
 
@@ -182,25 +183,34 @@ def prechecked(cls: type):
     return build
 
 
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def value_type(cls: type) -> type:
     """Declare an exact value type: ``@dataclass(frozen=True, slots=True)``
     with :func:`fields_repr` as its repr, refusing every assignment.
 
     ``dataclass`` keeps the repr set here, and a class-body ``__init__``,
-    through the slots rebuild.  That rebuild leaves the generated frozen
-    ``__setattr__`` and ``__delattr__`` referring to the class from before,
-    so assigning or deleting a non-field attribute would fail inside
-    ``super()`` with a ``TypeError``; pointing their closure cells at the
-    rebuilt class makes them raise ``FrozenInstanceError``, as they do
-    without slots.
+    through the slots rebuild.  The frozen ``__setattr__`` and
+    ``__delattr__`` it generates still refer to the class from before that
+    rebuild, so they are replaced by two that refuse any name with the
+    ``FrozenInstanceError`` and text a frozen dataclass without slots gives.
+
+    A value type checks its fields in ``__post_init__``.  Only a type
+    whose checks are on a measured hot path, or that stores something other
+    than its argument, writes its ``__init__`` out, storing through
+    :func:`slot_setters`; a route whose fields are valid by construction
+    builds through :func:`prechecked`.
     """
     cls.__repr__ = fields_repr
     cls = dataclass(frozen=True, slots=True)(cls)
-    for name in ("__setattr__", "__delattr__"):
-        for cell in cls.__dict__[name].__closure__ or ():
-            old = cell.cell_contents
-            if isinstance(old, type) and old.__qualname__ == cls.__qualname__:
-                cell.cell_contents = cls
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
     return cls
 
 
@@ -254,8 +264,9 @@ class Parallelogram:
     area: int
 
     def __init__(self, base: int, side: int, area: int) -> None:
-        # Written out rather than generated, so that validation runs before
-        # the fields are stored and without a separate __post_init__ call.
+        # Written out rather than generated, as it is on measured hot paths
+        # (companions, family_pair's members, every request): validation
+        # runs before the fields are stored, with no __post_init__ call.
         if not type(base) is type(side) is type(area) is int:
             raise non_integer_fields("base, side, and area", (base, side, area))
         if base < 1 or side < 1 or area < 1:

@@ -121,20 +121,14 @@ class FamilyEntry:
     rectangle: Parallelogram
     partner: Parallelogram
 
-    def __init__(self, n: int, rectangle: Parallelogram, partner: Parallelogram) -> None:
-        # Written out like Parallelogram's: one is built per index.  Only
-        # the types are checked, by identity; whether the members are a
-        # family pair is for verify_family to check and report.
+    def __post_init__(self) -> None:
+        # Only the types are checked, by identity; whether the members are
+        # a family pair is for verify_family to check and report.
+        n, rectangle, partner = self.n, self.rectangle, self.partner
         if not (type(n) is int and type(rectangle) is type(partner) is Parallelogram):
             require_int(n, "index")
             kinds = f"{type(rectangle).__name__}, {type(partner).__name__}"
             raise HeronianError(f"rectangle and partner must be Parallelograms, got ({kinds})")
-        _set_n(self, n)
-        _set_rectangle(self, rectangle)
-        _set_partner(self, partner)
-
-
-_set_n, _set_rectangle, _set_partner = slot_setters(FamilyEntry)
 
 
 @value_type
@@ -149,10 +143,8 @@ class FamilyReportRow:
     checks: MappingProxyType[str, bool]
 
     def __init__(self, entry: FamilyEntry, checks: Mapping[str, bool]) -> None:
-        # A dict, as verify_family passes, skips the slower ABC test.
-        if type(entry) is not FamilyEntry or not (
-            type(checks) is dict or isinstance(checks, Mapping)
-        ):
+        # Written out, as it stores a read-only copy and not the argument.
+        if type(entry) is not FamilyEntry or not isinstance(checks, Mapping):
             kinds = f"{type(entry).__name__}, {type(checks).__name__}"
             raise HeronianError(
                 f"entry and checks must be a FamilyEntry and a mapping, got ({kinds})"
@@ -211,6 +203,7 @@ class FamilyReportRow:
 
 _set_entry, _set_checks = slot_setters(FamilyReportRow)
 _prechecked_row = prechecked(FamilyReportRow)
+_prechecked_entry = prechecked(FamilyEntry)
 
 
 def family_pair(n: int) -> FamilyEntry:
@@ -221,7 +214,8 @@ def family_pair(n: int) -> FamilyEntry:
     side (F(2n-2), F(2n-1)) are one more doubling step of the pass's loop,
     taken at k = n - 1 from F(n-1) = F(n+1) - F(n) and F(n).  Both members
     go through the validating constructors, so the partner's existence
-    bound is enforced rather than assumed.
+    bound is enforced rather than assumed; the entry, a checked index and
+    two checked shapes, is valid by construction and skips its check.
     """
     _require_family_index(n)
     f, f1 = _fib_pair(n)
@@ -229,7 +223,7 @@ def family_pair(n: int) -> FamilyEntry:
     f0 = f1 - f
     rectangle = Parallelogram(ell, 2 * f, 2 * f * ell)
     partner = Parallelogram(f0 * (2 * f - f0), f0 * f0 + f * f, 2 * (f + 2 * f1))
-    return FamilyEntry(n, rectangle, partner)
+    return _prechecked_entry(n, rectangle, partner)
 
 
 def verify_family(start: int, stop: int) -> list[FamilyReportRow]:

@@ -219,11 +219,7 @@ class TestVerify:
                 if is_amicable_invariants(area, perimeter)
                 != companion_exists_bruteforce(area, perimeter)
             ]
-            assert cli._verify_perimeter(perimeter) == (
-                len(areas),
-                len(areas) - len(disagreements),
-                disagreements,
-            )
+            assert cli._verify_perimeter(perimeter) == (len(areas), disagreements)
 
 
 class TestEnumerate:

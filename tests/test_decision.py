@@ -163,12 +163,12 @@ def test_every_closed_form_route_answers_from_the_rule(monkeypatch):
     assert from_rule(companion_base_range, 42, 26) == range(0)
     assert from_rule(all_companion_bases, shape) == []
     del calls[:]
-    cells, agreements, disagreements = from_rule(cli._verify_perimeter, 26)
+    cells, disagreements = from_rule(cli._verify_perimeter, 26)
     assert calls == [(area, 26) for area in range(1, cells + 1)]
     assert disagreements == [
         (area, 26) for area in range(1, cells + 1) if companion_scan(area, 26)
     ]
-    assert disagreements and agreements == cells - len(disagreements)
+    assert disagreements
 
 
 @st.composite

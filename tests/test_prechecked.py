@@ -1,9 +1,9 @@
 """Values built past their constructors' checks equal the checked ones.
 
 ``core.prechecked`` builds a value type from fields already known valid,
-without running its constructor.  Three routes use it: the shapes of
-``enumerate_by_perimeter``, the OK verdicts of ``classify`` and the rows of
-``verify_family``.  Each value they give must equal the value the checked
+without running its constructor.  Four routes use it: the shapes of
+``enumerate_by_perimeter``, the OK verdicts of ``classify``, the entries of
+``family_pair`` and the rows of ``verify_family``.  Each value they give must equal the value the checked
 constructor builds from the same fields, be of exactly its class, and
 survive ``dataclasses.replace``, which runs the checked constructor again.
 """
@@ -24,6 +24,7 @@ from amigram import (
     classify,
     companion_from_invariants,
     enumerate_by_perimeter,
+    family_pair,
     verify_family,
 )
 from amigram.core import prechecked
@@ -78,6 +79,15 @@ def test_ok_verdicts_equal_the_checked_ones(perimeter):
         assert_checked(verdict, checked)
         assert type(verdict.companion) is Parallelogram
     assert ok or perimeter < 16
+
+
+# 11000 is past the 4300-digit int/str limit.
+@pytest.mark.parametrize("n", [*range(4, 61), 11000])
+def test_family_entries_equal_the_checked_ones(n):
+    entry = family_pair(n)
+    assert entry.n == n
+    assert entry.rectangle.is_rectangle and not entry.partner.is_rectangle
+    assert_checked(entry, FamilyEntry(entry.n, entry.rectangle, entry.partner))
 
 
 def test_family_rows_equal_the_checked_ones():

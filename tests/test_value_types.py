@@ -1,15 +1,16 @@
 """The two value types built once per shape keep their contract.
 
-``Parallelogram`` and ``Verdict`` store their fields through slot
-descriptors in hand-written constructors.  They must still behave exactly
-like frozen dataclasses: assignment refused, no instance ``__dict__``, and
-equality, hashing, repr, tuples, pickling and copying as a plain
-``@dataclass(frozen=True)`` with the same fields gives.  Every rejection
-keeps its exception class and its message text.  These two and the census
-rows and tallies, all slots dataclasses, refuse any attribute with
-``FrozenInstanceError``, field or not.  Census rows and family report rows
-refuse a flag or check value that is not a bool, as a verdict does, and a
-report row refuses a check name that ``json.dumps`` would escape.
+``Parallelogram`` stores its fields through slot descriptors in a
+written-out constructor, and ``Verdict`` checks in ``__post_init__``.
+They must still behave exactly like frozen dataclasses: assignment
+refused, no instance ``__dict__``, and equality, hashing, repr, tuples,
+pickling and copying as a plain ``@dataclass(frozen=True)`` with the same
+fields gives.  Every rejection keeps its exception class and its message
+text.  These two and the census rows and tallies, all slots dataclasses,
+refuse any attribute with ``FrozenInstanceError``, field or not.  Census
+rows and family report rows refuse a flag or check value that is not a
+bool, as a verdict does, and a report row refuses a check name that
+``json.dumps`` would escape.
 Family entries and report rows are slots dataclasses as well, and a row's
 checks are a read-only copy.  A shape, a verdict's refusal, a census row
 and tally, a render spec, a canonical key, a rectangle pair and a family
@@ -22,7 +23,8 @@ The last part is one gate over every dataclass or ``NamedTuple`` that
 sample holding a 5000-digit int wherever its constructor admits one, print
 it through its repr and every wire method at CPython's default and lowest
 int/str digit limits, and refuse a wrong-typed field when built.  Each
-dataclass must be declared with ``core.value_type``.
+dataclass must be declared with ``core.value_type``, whose two refusals are
+its ``__setattr__`` and ``__delattr__``.
 """
 
 import collections
@@ -54,6 +56,7 @@ from amigram import (
     ZeroDimension,
     verify_family,
 )
+from amigram import core
 from amigram.census import perimeter_counts
 from amigram.core import fields_repr
 
@@ -725,6 +728,8 @@ def test_exported_value_types_print_past_the_digit_limit(digit_limit, cls):
 def test_exported_dataclasses_are_value_types(cls):
     value = sample_of(cls)
     assert cls.__repr__ is fields_repr
+    assert cls.__setattr__ is core._refuse_assignment
+    assert cls.__delattr__ is core._refuse_deletion
     assert "__slots__" in cls.__dict__ and not hasattr(value, "__dict__")
     for name in field_names(cls) + ["extra"]:
         with pytest.raises(dataclasses.FrozenInstanceError):
