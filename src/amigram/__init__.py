@@ -71,6 +71,7 @@ _EXPORTS = {
         "FamilyReportRow",
         "IndexTooSmall",
         "family_pair",
+        "family_rows",
         "fib",
         "fib_iterative",
         "lucas",

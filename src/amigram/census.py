@@ -272,8 +272,9 @@ def perimeter_counts(perimeter: int) -> PerimeterCounts:
 def count_amicable(max_perimeter: int) -> list[PerimeterCounts]:
     """Per-perimeter tallies over every perimeter from 4 to ``max_perimeter``:
     the :func:`perimeter_counts` row of each, O(1) arithmetic per perimeter
-    (derived there).  No shape is built and no split is walked.  Its oracle is :func:`count_amicable_exhaustive`, which builds every
-    shape and decides each one.
+    (derived there).  No shape is built and no split is walked.  Its oracle
+    is :func:`count_amicable_exhaustive`, which builds every shape and
+    decides each one.
     """
     require_even_perimeter(max_perimeter)
     return list(map(perimeter_counts, range(4, max_perimeter + 1, 2)))

@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: check, family, verify, enumerate, census, rectangles,
-witness, render.  Handlers check input, then return lines; main alone
-writes them, to stdout unless -o is given, errors to stderr.  Exit codes:
+witness, render.  Every handler keeps one contract: it checks its input
+before it returns, and it returns only its lines.  main alone writes them,
+to stdout unless -o is given, errors to stderr, and takes the exit code
+after the last line: the return value of a handler's generator, where None,
+or lines that are not a generator, count as 0.  Exit codes:
 0 = computed successfully (a "not amicable" verdict is a success),
 1 = invalid input, 2 = a mathematical cross-check failed (a bug).
 
@@ -20,7 +23,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Sequence
 
 from .amicability import (
     Reason,
@@ -95,84 +98,96 @@ def _verify_perimeter(perimeter: int) -> tuple[int, list[tuple[int, int]]]:
     return cells, disagreements
 
 
-def _cmd_check(args) -> tuple[int, Iterable[str]]:
+def _cmd_check(args) -> Iterable[str]:
     if args.perimeter is not None and args.base is None and args.side is None:
         verdict = classify_invariants(args.area, args.perimeter)
     elif args.perimeter is None and args.base is not None and args.side is not None:
         verdict = classify(Parallelogram(args.base, args.side, args.area))
     else:
         raise HeronianError("give either --area/--perimeter or --base/--side/--area")
-    return 0, [verdict.to_json_text()]
+    return [verdict.to_json_text()]
 
 
-def _cmd_family(args) -> tuple[int, Iterable[str]]:
-    from .families import FamilyReportRow, verify_family
+def _cmd_family(args) -> Generator[str, None, int]:
+    from .families import family_rows
 
-    rows = verify_family(args.start, args.stop)
-    code = 0 if all(row.passed for row in rows) else 2
-    return code, map(FamilyReportRow.to_json_text, rows)
+    return _family_lines(family_rows(args.start, args.stop))  # checks the range now
 
 
-def _cmd_verify(args) -> tuple[int, Iterable[str]]:
+def _family_lines(rows) -> Generator[str, None, int]:
+    """Each row's line as it is computed; 2 after the last if any failed."""
+    passed = True
+    for row in rows:
+        passed = passed and row.passed
+        yield row.to_json_text()
+    return 0 if passed else 2
+
+
+def _cmd_verify(args) -> Generator[str, None, int]:
+    require_even_perimeter(args.max_perimeter)  # before the first line
+    return _verify_lines(args.max_perimeter)
+
+
+def _verify_lines(max_perimeter: int) -> Generator[str, None, int]:
     """Every grid row in this process, one perimeter at a time, keeping
     only the running cell count and the disagreements: the agreements are
-    the cells that did not disagree."""
-    require_even_perimeter(args.max_perimeter)
-    rows = map(_verify_perimeter, range(4, args.max_perimeter + 1, 2))
+    the cells that did not disagree.  The totals come first, so the whole
+    grid is computed before the first line."""
+    rows = map(_verify_perimeter, range(4, max_perimeter + 1, 2))
     cells = 0
     disagreements = []
     for row_cells, row_disagreements in rows:
         cells += row_cells
         disagreements.extend(row_disagreements)
-    return (0 if not disagreements else 2), [
-        f"max perimeter: {args.max_perimeter}",
-        f"cells: {cells}",
-        f"agreements: {cells - len(disagreements)}",
-        f"disagreements: {len(disagreements)}",
-        *(f"disagree: area={area} perimeter={perimeter}" for area, perimeter in disagreements),
-    ]
+    yield f"max perimeter: {max_perimeter}"
+    yield f"cells: {cells}"
+    yield f"agreements: {cells - len(disagreements)}"
+    yield f"disagreements: {len(disagreements)}"
+    for area, perimeter in disagreements:
+        yield f"disagree: area={area} perimeter={perimeter}"
+    return 2 if disagreements else 0
 
 
-def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
+def _cmd_enumerate(args) -> Iterable[str]:
     from .census import CSV_HEADER, CensusRow, census_rows
 
     rows = census_rows(args.perimeter)  # checks the perimeter now
     if args.amicable_only:
         rows = (row for row in rows if row.amicable)
     if args.format == "csv":
-        return 0, chain([CSV_HEADER], map(CensusRow.to_csv, rows))
-    return 0, map(CensusRow.to_json_text, rows)
+        return chain([CSV_HEADER], map(CensusRow.to_csv, rows))
+    return map(CensusRow.to_json_text, rows)
 
 
-def _cmd_census(args) -> tuple[int, Iterable[str]]:
+def _cmd_census(args) -> Iterable[str]:
     from .census import perimeter_counts
 
     require_even_perimeter(args.max_perimeter)  # before the first line
     counts = map(perimeter_counts, range(4, args.max_perimeter + 1, 2))
-    return 0, chain(
+    return chain(
         ["perimeter,total,amicable,self_amicable"],
         (f"{c.perimeter},{c.total},{c.amicable},{c.self_amicable}" for c in counts),
     )
 
 
-def _cmd_rectangles(args) -> tuple[int, Iterable[str]]:
+def _cmd_rectangles(args) -> Iterable[str]:
     from .census import RectanglePair, amicable_rectangle_pairs
 
     ordered = sorted(amicable_rectangle_pairs(), key=lambda p: not p.distinct)  # distinct first
-    return 0, map(RectanglePair.to_json_text, ordered)
+    return map(RectanglePair.to_json_text, ordered)
 
 
-def _cmd_witness(args) -> tuple[int, Iterable[str]]:
+def _cmd_witness(args) -> Iterable[str]:
     from .census import non_amicable_witness_area, non_amicable_witness_perimeter
 
     if args.area is not None:
         shape = non_amicable_witness_area(args.area)
     else:
         shape = non_amicable_witness_perimeter(args.perimeter)
-    return 0, [shape.to_json_text()]
+    return [shape.to_json_text()]
 
 
-def _cmd_render(args) -> tuple[int, Iterable[str]]:
+def _cmd_render(args) -> Iterable[str]:
     from .render import RenderSpec, render_svg
 
     spec = RenderSpec(
@@ -182,7 +197,7 @@ def _cmd_render(args) -> tuple[int, Iterable[str]]:
         height=args.height,
         margin=args.margin,
     )
-    return 0, render_svg(spec).splitlines()
+    return render_svg(spec).splitlines()
 
 
 @functools.cache
@@ -263,15 +278,21 @@ _BATCH_CHARS = 65536
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    code = 0  # the handler's, once its lines have run out
     try:
-        code, lines = args.handler(args)
+        lines = iter(args.handler(args))
         with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as out:
             # Lines go out in batches of about _BATCH_CHARS characters:
             # unbuffered stdout (python -u) makes each write a system call,
             # and a batch bounded by characters stays small however long
             # the lines are.
             batch, size = [], 0
-            for line in lines:
+            while True:
+                try:
+                    line = next(lines)
+                except StopIteration as end:
+                    code = end.value or 0
+                    break
                 batch.append(line)
                 size += len(line) + 1
                 if size >= _BATCH_CHARS:
@@ -287,7 +308,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _report(f"cannot write {args.output}: {exc.strerror or exc}")
         if not isinstance(exc, BrokenPipeError):
             raise
-        # The reader closed stdout (`| head`): stop quietly, last flush to devnull.
+        # The reader closed stdout (`| head`): stop quietly, last flush to
+        # devnull.  No further line is pulled, so the code stays 0 unless
+        # the lines ran out before the write that failed.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

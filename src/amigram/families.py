@@ -8,7 +8,7 @@ equalities ride on two classical identities,
 
 and the partner is constructible because 2*F(n+3) <= F(2n-1)*F(2n-2) once
 n > 3.  Rectangle areas 2*F(2n) grow strictly, so the family contains
-infinitely many distinct amicable parallelograms; :func:`verify_family`
+infinitely many distinct amicable parallelograms; :func:`family_rows`
 re-derives every claim with exact big-integer arithmetic instead of
 trusting the closed forms.
 
@@ -17,7 +17,7 @@ Indexing: F(0) = 0, F(1) = 1 and L(0) = 2, L(1) = 1.
 :func:`fib` and :func:`lucas` use fast doubling (Knuth, TAOCP vol. 1,
 section 1.2.8), O(log n) multiplications each, and :func:`family_pair`
 builds every entry from two doubling passes and one more doubling step.
-:func:`verify_family` re-derives its check values by another route: it
+:func:`family_rows` re-derives its check values by another route: it
 seeds F(n), L(n) and F(2n-2) with their successors once per range and
 steps them by the defining recurrences, so from the second index of a
 range on, no check reuses a value the entry was built from.
@@ -27,7 +27,7 @@ their test oracles.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from types import MappingProxyType
 
 from .amicability import is_amicable, verify_pair
@@ -123,7 +123,7 @@ class FamilyEntry:
 
     def __post_init__(self) -> None:
         # Only the types are checked, by identity; whether the members are
-        # a family pair is for verify_family to check and report.
+        # a family pair is for family_rows to check and report.
         n, rectangle, partner = self.n, self.rectangle, self.partner
         if not (type(n) is int and type(rectangle) is type(partner) is Parallelogram):
             require_int(n, "index")
@@ -133,7 +133,7 @@ class FamilyEntry:
 
 @value_type
 class FamilyReportRow:
-    """Outcome of the per-index checks run by :func:`verify_family`.
+    """Outcome of the per-index checks run by :func:`family_rows`.
 
     ``checks`` is a read-only copy of the mapping given, so the values
     checked here are the values every later reader sees.
@@ -226,8 +226,8 @@ def family_pair(n: int) -> FamilyEntry:
     return _prechecked_entry(n, rectangle, partner)
 
 
-def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
-    """Re-check the family for each n in [start, stop].
+def family_rows(start: int, stop: int) -> Iterator[FamilyReportRow]:
+    """Re-check the family for each n in [start, stop], one row at a time.
 
     Per index: the two cross equalities hold, both members pass the
     closed-form amicability test, F(n)*L(n) = F(2n), and the partner's
@@ -236,7 +236,7 @@ def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
     by doubling once at n = start and then stepped by addition (by one
     index for F(n) and L(n), by two for F(2n-2)); every entry is still
     built by :func:`family_pair`, so the checks play one route against
-    the other.
+    the other.  A bad range raises here, not at the first ``next()``.
     """
     require_int(start, "index")
     require_int(stop, "index")
@@ -246,10 +246,13 @@ def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
             f"start {int_to_decimal(start)}"
         )
     _require_family_index(start)
+    return _checked_rows(start, stop)
+
+
+def _checked_rows(start: int, stop: int) -> Iterator[FamilyReportRow]:
     f, f1 = _fib_pair(start)  # F(n), F(n+1)
     ell, ell1 = lucas(start), lucas(start + 1)  # L(n), L(n+1)
     g, g1 = _fib_pair(2 * start - 2)  # F(2n-2), F(2n-1)
-    rows = []
     for n in range(start, stop + 1):
         entry = family_pair(n)
         checks = {
@@ -261,8 +264,12 @@ def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
         }
         # A FamilyEntry, five literal names and bools: valid by construction,
         # so the row skips its checks, and no one else holds the dict.
-        rows.append(_prechecked_row(entry, MappingProxyType(checks)))
+        yield _prechecked_row(entry, MappingProxyType(checks))
         f, f1 = f1, f + f1
         ell, ell1 = ell1, ell + ell1
         g, g1 = g + g1, g + 2 * g1  # F(2n), F(2n+1)
-    return rows
+
+
+def verify_family(start: int, stop: int) -> list[FamilyReportRow]:
+    """The rows of :func:`family_rows`, as a list."""
+    return list(family_rows(start, stop))

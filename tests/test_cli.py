@@ -410,9 +410,9 @@ class TestCommonBehavior:
     def test_injected_family_failure_exits_2(self, monkeypatch, capsys):
         entry = FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26))
         fake = [FamilyReportRow(entry, {"pair": False})]
-        # The family handler imports verify_family from its home module
+        # The family handler imports family_rows from its home module
         # when it runs, so the fake goes there.
-        monkeypatch.setattr(families, "verify_family", lambda start, stop: fake)
+        monkeypatch.setattr(families, "family_rows", lambda start, stop: iter(fake))
         code = cli.main(["family", "--from", "4", "--to", "4"])
         out = capsys.readouterr().out
         assert code == 2

@@ -12,6 +12,7 @@ from amigram import (
     cli,
     families,
     family_pair,
+    family_rows,
     fib,
     is_amicable,
     lucas,
@@ -245,9 +246,11 @@ class TestCorruptedValuesAreCaught:
         assert len(capsys.readouterr().out.splitlines()) == self.STOP - self.START + 1
 
 
+@pytest.mark.parametrize("rows", [verify_family, family_rows])
 class TestRangeErrorsComeFirst:
     """Bad ranges raise before any seed is computed, with the same error
-    class and message as a per-index check would give."""
+    class and message as a per-index check would give.  ``family_rows``
+    raises when it is called, not at the first ``next()``."""
 
     @pytest.mark.parametrize(
         "start, stop, error, message",
@@ -259,8 +262,14 @@ class TestRangeErrorsComeFirst:
         ],
         ids=["three", "zero", "huge_negative", "empty"],
     )
-    def test_error(self, start, stop, error, message):
+    def test_error(self, rows, start, stop, error, message):
         with pytest.raises(HeronianError) as exc:
-            verify_family(start, stop)
+            rows(start, stop)
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+
+def test_family_rows_are_computed_as_they_are_read():
+    # A range no list could hold: only the rows read are computed.
+    rows = family_rows(4, 10**100)
+    assert [next(rows), next(rows)] == verify_family(4, 5)

@@ -1,9 +1,11 @@
 """Every report leaves through one write loop in ``cli.main``.
 
-Handlers return lines and ``main`` writes them as they are produced, so a
-long listing never exists in memory as a whole.  Input is checked before the
-first line, so a refusal writes nothing and creates no ``-o`` file, and a
-reader that closes the pipe early ends the run quietly.
+Every handler keeps one contract: it checks its input before it returns, and
+returns only its lines.  ``main`` writes them as they are produced, so a long
+listing never exists in memory as a whole, and takes the exit code after the
+last line, from the handler's generator.  Input is checked before the first
+line, so a refusal writes nothing and creates no ``-o`` file, and a reader
+that closes the pipe early ends the run quietly.
 """
 
 import io
@@ -65,6 +67,24 @@ def test_census_streams_at_flat_memory():
     assert peak < 1_000_000
 
 
+def test_family_streams_at_flat_memory():
+    # 2997 rows, 13 MB, whose integers grow to 1254 digits: each row is
+    # checked and dropped as it is written, and the exit code comes after.
+    with redirect_stdout(_Discard()):  # parser, imports and caches first
+        assert cli.main(["family", "--from", "4", "--to", "10"]) == 0
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = cli.main(["family", "--from", "4", "--to", "3000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.size > 13_000_000
+    assert peak < 1_000_000
+
+
 class _RecordWrites(io.TextIOBase):
     """A text sink that keeps the size of each write and the longest line."""
 
@@ -110,10 +130,20 @@ def test_rejection_writes_nothing(argv, tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_closed_pipe_ends_quietly(fmt):
+# family's rows are computed only as they are written, so the rows past the
+# closed pipe are never computed, and their exit code is never known: 0.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--perimeter", "200", "--format", "csv"],
+        ["enumerate", "--perimeter", "200", "--format", "jsonl"],
+        ["family", "--from", "4", "--to", "6000"],
+    ],
+    ids=["csv", "jsonl", "family"],
+)
+def test_closed_pipe_ends_quietly(argv):
     proc = subprocess.Popen(
-        [sys.executable, "-m", "amigram", "enumerate", "--perimeter", "200", "--format", fmt],
+        [sys.executable, "-m", "amigram", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
