@@ -137,11 +137,10 @@ def fields_repr(self) -> str:
 def slot_setters(cls: type) -> tuple:
     """The ``__set__`` of each field's slot descriptor, in field order.
 
-    For the two written-out constructors, ``Parallelogram``'s and
-    ``FamilyReportRow``'s, and for :func:`prechecked`:
-    ``setter(self, value)`` stores a validated field past the frozen
-    ``__setattr__``, as ``object.__setattr__`` would, without looking the
-    descriptor up by name on each call.
+    For the one written-out constructor, ``Parallelogram``'s, and for
+    :func:`prechecked`: ``setter(self, value)`` stores a validated field
+    past the frozen ``__setattr__``, as ``object.__setattr__`` would,
+    without looking the descriptor up by name on each call.
     """
     return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
 
@@ -202,10 +201,9 @@ def value_type(cls: type) -> type:
     ``FrozenInstanceError`` and text a frozen dataclass without slots gives.
 
     A value type checks its fields in ``__post_init__``.  Only a type
-    whose checks are on a measured hot path, or that stores something other
-    than its argument, writes its ``__init__`` out, storing through
-    :func:`slot_setters`; a route whose fields are valid by construction
-    builds through :func:`prechecked`.
+    whose checks are on a measured hot path writes its ``__init__`` out,
+    storing through :func:`slot_setters`; a route whose fields are valid by
+    construction builds through :func:`prechecked`.
     """
     cls.__repr__ = fields_repr
     cls = dataclass(frozen=True, slots=True)(cls)

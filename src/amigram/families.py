@@ -27,8 +27,7 @@ their test oracles.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
-from types import MappingProxyType
+from collections.abc import Iterator
 
 from .amicability import is_amicable, verify_pair
 from .core import (
@@ -37,7 +36,6 @@ from .core import (
     int_to_decimal,
     prechecked,
     require_int,
-    slot_setters,
     value_type,
 )
 
@@ -131,77 +129,63 @@ class FamilyEntry:
             raise HeronianError(f"rectangle and partner must be Parallelograms, got ({kinds})")
 
 
+# The checks each family row reports, in the order of its results and of
+# its JSON object.
+CHECK_NAMES = ("pair", "amicable_h", "amicable_c", "identity", "existence_bound")
+
+
 @value_type
 class FamilyReportRow:
-    """Outcome of the per-index checks run by :func:`family_rows`.
-
-    ``checks`` is a read-only copy of the mapping given, so the values
-    checked here are the values every later reader sees.
-    """
+    """Outcome of the per-index checks run by :func:`family_rows`: one bool
+    per check in ``results``, in the order of :data:`CHECK_NAMES`."""
 
     entry: FamilyEntry
-    checks: MappingProxyType[str, bool]
+    results: tuple[bool, bool, bool, bool, bool]
 
-    def __init__(self, entry: FamilyEntry, checks: Mapping[str, bool]) -> None:
-        # Written out, as it stores a read-only copy and not the argument.
-        if type(entry) is not FamilyEntry or not isinstance(checks, Mapping):
-            kinds = f"{type(entry).__name__}, {type(checks).__name__}"
-            raise HeronianError(
-                f"entry and checks must be a FamilyEntry and a mapping, got ({kinds})"
-            )
-        checks = dict(checks)
-        # Identity, not equality: a check of 1 or 0 would print as a number
-        # from to_json_dict but as true or false from to_json_text.  A name
-        # prints in to_json_text as it is, so it must be one that json.dumps
-        # does not escape: printable ASCII with no quote or backslash.
-        for name, ok in checks.items():
-            if type(name) is not str:
-                raise HeronianError(f"check name must be a str, got {type(name).__name__}")
-            if not (
-                name.isascii() and name.isprintable() and '"' not in name and "\\" not in name
-            ):
-                raise HeronianError(
-                    f"check name {name!r:.40} must be printable ASCII "
-                    "with no quote or backslash"
-                )
-            if type(ok) is not bool:
-                raise HeronianError(f"check {name!r} must be a bool, got {type(ok).__name__}")
-        _set_entry(self, entry)
-        _set_checks(self, MappingProxyType(checks))
+    def __post_init__(self) -> None:
+        # Identity, not equality: a result of 1 or 0 would print as a number
+        # from to_json_dict but as true or false from to_json_text.
+        entry, results = self.entry, self.results
+        if not (
+            type(entry) is FamilyEntry
+            and type(results) is tuple
+            and len(results) == 5
+            and all(type(ok) is bool for ok in results)
+        ):
+            raise HeronianError("a family row needs a FamilyEntry and a tuple of five bools")
 
-    def __reduce__(self):
-        # A mappingproxy does not pickle or copy; the dict under it does.
-        return FamilyReportRow, (self.entry, dict(self.checks))
+    @property
+    def checks(self) -> dict[str, bool]:
+        """Each result under its check's name, in a new dict on each read."""
+        return dict(zip(CHECK_NAMES, self.results))
 
     @property
     def passed(self) -> bool:
-        return all(self.checks.values())
+        return all(self.results)
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.entry.n,
             "h": self.entry.rectangle.to_json_dict(),
             "c": self.entry.partner.to_json_dict(),
-            "checks": dict(self.checks),
+            "checks": self.checks,
         }
 
     def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_dict())``, from one template.
-
-        The constructor has made sure each check name prints in JSON as it
-        is.
-        """
-        checks = ", ".join(
-            [f'"{name}": {"true" if ok else "false"}' for name, ok in self.checks.items()]
-        )
+        """``json.dumps(self.to_json_dict())``, from one template."""
+        pair, amicable_h, amicable_c, identity, bound = [
+            "true" if ok else "false" for ok in self.results
+        ]
         return (
             f'{{"n": {int_to_decimal(self.entry.n)}, '
             f'"h": {self.entry.rectangle.to_json_text()}, '
-            f'"c": {self.entry.partner.to_json_text()}, "checks": {{{checks}}}}}'
+            f'"c": {self.entry.partner.to_json_text()}, '
+            f'"checks": {{"pair": {pair}, "amicable_h": {amicable_h}, '
+            f'"amicable_c": {amicable_c}, "identity": {identity}, '
+            f'"existence_bound": {bound}}}}}'
         )
 
 
-_set_entry, _set_checks = slot_setters(FamilyReportRow)
 _prechecked_row = prechecked(FamilyReportRow)
 _prechecked_entry = prechecked(FamilyEntry)
 
@@ -255,16 +239,16 @@ def _checked_rows(start: int, stop: int) -> Iterator[FamilyReportRow]:
     g, g1 = _fib_pair(2 * start - 2)  # F(2n-2), F(2n-1)
     for n in range(start, stop + 1):
         entry = family_pair(n)
-        checks = {
-            "pair": verify_pair(entry.rectangle, entry.partner),
-            "amicable_h": is_amicable(entry.rectangle),
-            "amicable_c": is_amicable(entry.partner),
-            "identity": f * ell == g + g1,
-            "existence_bound": 2 * (f + 2 * f1) <= g1 * g,
-        }
-        # A FamilyEntry, five literal names and bools: valid by construction,
-        # so the row skips its checks, and no one else holds the dict.
-        yield _prechecked_row(entry, MappingProxyType(checks))
+        results = (
+            verify_pair(entry.rectangle, entry.partner),
+            is_amicable(entry.rectangle),
+            is_amicable(entry.partner),
+            f * ell == g + g1,
+            2 * (f + 2 * f1) <= g1 * g,
+        )
+        # A FamilyEntry and a tuple of five bools in CHECK_NAMES' order:
+        # valid by construction, so the row skips its checks.
+        yield _prechecked_row(entry, results)
         f, f1 = f1, f + f1
         ell, ell1 = ell1, ell + ell1
         g, g1 = g + g1, g + 2 * g1  # F(2n), F(2n+1)

@@ -43,7 +43,7 @@ class RenderSpec:
     margin: int = 24
 
     def __post_init__(self) -> None:
-        if not isinstance(self.parallelogram, Parallelogram):
+        if type(self.parallelogram) is not Parallelogram:
             raise RenderError(
                 f"can only draw a Parallelogram, got {type(self.parallelogram).__name__}"
             )

@@ -409,7 +409,7 @@ class TestCommonBehavior:
 
     def test_injected_family_failure_exits_2(self, monkeypatch, capsys):
         entry = FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26))
-        fake = [FamilyReportRow(entry, {"pair": False})]
+        fake = [FamilyReportRow(entry, (False, True, True, True, True))]
         # The family handler imports family_rows from its home module
         # when it runs, so the fake goes there.
         monkeypatch.setattr(families, "family_rows", lambda start, stop: iter(fake))

@@ -245,6 +245,24 @@ class TestCorruptedValuesAreCaught:
         assert code == 2
         assert len(capsys.readouterr().out.splitlines()) == self.STOP - self.START + 1
 
+    @pytest.mark.parametrize(
+        "check, name, fails",
+        [
+            ("pair", "verify_pair", lambda rectangle, partner: True),
+            ("amicable_h", "is_amicable", lambda shape: shape.is_rectangle),
+            ("amicable_c", "is_amicable", lambda shape: not shape.is_rectangle),
+        ],
+        ids=["pair", "amicable_h", "amicable_c"],
+    )
+    def test_a_failing_check_is_reported_under_its_own_name(self, monkeypatch, check, name, fails):
+        real = getattr(families, name)
+        monkeypatch.setattr(
+            families, name, lambda *shapes: False if fails(*shapes) else real(*shapes)
+        )
+        for row in verify_family(self.START, self.STOP):
+            assert row.checks == {**ALL_PASS, check: False}
+            assert row.to_json_dict()["checks"] == {**ALL_PASS, check: False}
+
 
 @pytest.mark.parametrize("rows", [verify_family, family_rows])
 class TestRangeErrorsComeFirst:

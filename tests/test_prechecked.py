@@ -10,7 +10,6 @@ survive ``dataclasses.replace``, which runs the checked constructor again.
 
 import dataclasses
 from itertools import islice
-from types import MappingProxyType
 
 import pytest
 
@@ -94,19 +93,19 @@ def test_family_rows_equal_the_checked_ones():
     rows = verify_family(4, 60)
     assert [row.entry.n for row in rows] == list(range(4, 61))
     for row in rows:
-        assert_checked(row, FamilyReportRow(row.entry, dict(row.checks)))
-        assert type(row.checks) is MappingProxyType
-        assert all(type(ok) is bool for ok in row.checks.values())
+        assert_checked(row, FamilyReportRow(row.entry, row.results))
+        assert type(row.results) is tuple and len(row.results) == 5
+        assert all(type(ok) is bool for ok in row.results)
 
 
 def test_builders_store_the_fields_in_order():
     shape = prechecked(Parallelogram)(7, 6, 42)
     assert_checked(shape, Parallelogram(7, 6, 42))
     entry = FamilyEntry(4, shape, Parallelogram(8, 13, 26))
-    checks = MappingProxyType({"pair": True})
-    row = prechecked(FamilyReportRow)(entry, checks)
-    assert row.entry is entry and row.checks is checks
-    assert_checked(row, FamilyReportRow(entry, {"pair": True}))
+    results = (True, False, True, True, False)
+    row = prechecked(FamilyReportRow)(entry, results)
+    assert row.entry is entry and row.results is results
+    assert_checked(row, FamilyReportRow(entry, results))
 
 
 def test_a_field_count_with_no_builder_is_refused():

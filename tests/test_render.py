@@ -101,6 +101,15 @@ class TestRenderSpecChecks:
         with pytest.raises(RenderError):
             RenderSpec(shape)
 
+    def test_parallelogram_subclass_is_refused(self):
+        # Checked by identity, as a Verdict and a FamilyEntry check theirs.
+        class Shape(Parallelogram):
+            __slots__ = ()
+
+        with pytest.raises(RenderError) as info:
+            RenderSpec(Shape(7, 6, 42))
+        assert str(info.value) == "can only draw a Parallelogram, got Shape"
+
     @pytest.mark.parametrize("field", ["width", "height", "margin"])
     @pytest.mark.parametrize("value", [700.5, "360", True, False, None])
     def test_non_int_dimension_is_refused(self, field, value):

@@ -8,11 +8,10 @@ pickling and copying as a plain ``@dataclass(frozen=True)`` with the same
 fields gives.  Every rejection keeps its exception class and its message
 text.  These two and the census rows and tallies, all slots dataclasses,
 refuse any attribute with ``FrozenInstanceError``, field or not.  Census
-rows and family report rows refuse a flag or check value that is not a
-bool, as a verdict does, and a report row refuses a check name that
-``json.dumps`` would escape.
+rows refuse a flag that is not a bool, as a verdict does, and family report
+rows refuse results that are not a tuple of five bools.
 Family entries and report rows are slots dataclasses as well, and a row's
-checks are a read-only copy.  A shape, a verdict's refusal, a census row
+checks are a new dict on each read.  A shape, a verdict's refusal, a census row
 and tally, a render spec, a canonical key, a rectangle pair and a family
 entry print, and a JSON field is refused with its name, past CPython's
 int/str digit limit too.  A verdict, a rectangle pair and a family entry
@@ -22,7 +21,8 @@ The last part is one gate over every dataclass or ``NamedTuple`` that
 ``amigram`` exports, found by walking ``amigram.__all__``: each must have a
 sample holding a 5000-digit int wherever its constructor admits one, print
 it through its repr and every wire method at CPython's default and lowest
-int/str digit limits, and refuse a wrong-typed field when built.  Each
+int/str digit limits, refuse a wrong-typed field when built, and hash,
+copy and convert as a dataclass or ``NamedTuple`` does.  Each
 dataclass must be declared with ``core.value_type``, whose two refusals are
 its ``__setattr__`` and ``__delattr__``.
 """
@@ -30,6 +30,7 @@ its ``__setattr__`` and ``__delattr__``.
 import collections
 import copy
 import dataclasses
+import itertools
 import json
 import pickle
 import sys
@@ -59,6 +60,7 @@ from amigram import (
 from amigram import core
 from amigram.census import perimeter_counts
 from amigram.core import fields_repr
+from amigram.families import CHECK_NAMES
 
 # Plain frozen dataclasses with the same names and fields, as references.
 RefParallelogram = dataclasses.make_dataclass(
@@ -222,7 +224,7 @@ FROZEN_SLOTS = SAMPLES + [
     RenderSpec(Parallelogram(7, 6, 42)),
     FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26)),
     FamilyReportRow(
-        FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26)), {"pair": True}
+        FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26)), (True,) * 5
     ),
 ]
 
@@ -265,72 +267,87 @@ def test_census_row_flags_must_be_bools(flag, position):
 FAMILY_ENTRY = FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26))
 
 
+ROW_RESULTS = (True, False, True, True, False)
+ROW_REFUSAL = "a family row needs a FamilyEntry and a tuple of five bools"
+
+
 @pytest.mark.parametrize("value", NOT_BOOLS, ids=repr)
-def test_family_row_checks_must_be_bools(value):
-    checks = {"pair": True, "identity": value, "existence_bound": False}
+@pytest.mark.parametrize("position", range(5))
+def test_family_row_results_must_be_bools(value, position):
+    results = list(ROW_RESULTS)
+    results[position] = value
+    results = tuple(results)
     with pytest.raises(HeronianError) as info:
-        FamilyReportRow(FAMILY_ENTRY, checks)
+        FamilyReportRow(FAMILY_ENTRY, results)
     assert type(info.value) is HeronianError
-    assert str(info.value) == f"check 'identity' must be a bool, got {type(value).__name__}"
-
-
-def test_family_row_checks_are_a_read_only_copy():
-    checks = {"pair": True, "identity": False}
-    row = FamilyReportRow(FAMILY_ENTRY, checks)
-    checks["pair"] = 1
-    assert dict(row.checks) == {"pair": True, "identity": False}
-    (row,) = verify_family(4, 4)
-    with pytest.raises(TypeError):
-        row.checks["pair"] = 1
-    with pytest.raises(TypeError):
-        del row.checks["pair"]
-    assert row.to_json_text() == json.dumps(row.to_json_dict())
-    with pytest.raises(HeronianError, match="^check 'pair' must be a bool, got int$"):
-        dataclasses.replace(row, checks={**row.checks, "pair": 1})
-
-
-@given(st.one_of(st.text(), st.none(), st.integers(), st.binary()), st.booleans())
-@example('a"b', True)
-@example(None, True)
-@example("é", False)
-@example("a\nb", True)
-@example("a\\b", True)
-@example("\x7f", True)
-@example("", False)
-def test_family_row_check_names_are_refused_or_print_as_json_does(name, ok):
-    try:
-        row = FamilyReportRow(FAMILY_ENTRY, {name: ok})
-    except HeronianError as error:
-        assert type(error) is HeronianError
-        assert str(error).startswith("check name ")
-        return
-    assert row.to_json_text() == json.dumps(row.to_json_dict())
-    assert json.loads(row.to_json_text())["checks"] == {name: ok}
+    assert str(info.value) == ROW_REFUSAL
+    row = FamilyReportRow(FAMILY_ENTRY, ROW_RESULTS)
+    with pytest.raises(HeronianError) as info:
+        dataclasses.replace(row, results=results)
+    assert str(info.value) == ROW_REFUSAL
 
 
 @pytest.mark.parametrize(
-    "name,message",
+    "entry,results",
     [
-        (None, "check name must be a str, got NoneType"),
-        (1, "check name must be a str, got int"),
-        ('a"b', "check name 'a\"b' must be printable ASCII with no quote or backslash"),
-        ("é", "check name 'é' must be printable ASCII with no quote or backslash"),
-        ("a\nb", "check name 'a\\nb' must be printable ASCII with no quote or backslash"),
+        (FAMILY_ENTRY, list(ROW_RESULTS)),
+        (FAMILY_ENTRY, ROW_RESULTS[:4]),
+        (FAMILY_ENTRY, ROW_RESULTS + (True,)),
+        (FAMILY_ENTRY, ()),
+        (FAMILY_ENTRY, dict(zip(CHECK_NAMES, ROW_RESULTS))),
+        (FAMILY_ENTRY, None),
+        ((4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26)), ROW_RESULTS),
+        (Parallelogram(7, 6, 42), ROW_RESULTS),
+        (None, ROW_RESULTS),
     ],
-    ids=["none", "int", "quote", "non_ascii", "newline"],
+    ids=[
+        "list", "four", "six", "empty", "dict", "none_results",
+        "tuple_entry", "shape_entry", "none_entry",
+    ],
 )
-def test_family_row_refuses_a_check_name_json_would_escape(name, message):
+def test_family_row_refuses_an_entry_or_results_of_the_wrong_shape(entry, results):
     with pytest.raises(HeronianError) as info:
-        FamilyReportRow(FAMILY_ENTRY, {name: True})
-    assert str(info.value) == message
-    row = FamilyReportRow(FAMILY_ENTRY, {"pair": True})
-    with pytest.raises(HeronianError, match="^check name "):
-        dataclasses.replace(row, checks={name: True})
+        FamilyReportRow(entry, results)
+    assert type(info.value) is HeronianError
+    assert str(info.value) == ROW_REFUSAL
+    row = FamilyReportRow(FAMILY_ENTRY, ROW_RESULTS)
+    with pytest.raises(HeronianError) as info:
+        dataclasses.replace(row, entry=entry, results=results)
+    assert str(info.value) == ROW_REFUSAL
+
+
+def test_family_row_checks_are_a_new_dict_on_each_read():
+    row = FamilyReportRow(FAMILY_ENTRY, ROW_RESULTS)
+    expected = {
+        "pair": True, "amicable_h": False, "amicable_c": True,
+        "identity": True, "existence_bound": False,
+    }
+    checks = row.checks
+    assert type(checks) is dict and checks == expected
+    checks["pair"] = 1
+    del checks["amicable_h"]
+    assert row.checks == expected and row.checks is not row.checks
+    assert row.results == ROW_RESULTS and row.passed is False
+    (row,) = verify_family(4, 4)
+    assert row.results == (True,) * 5 and row.passed is True
+    assert row.to_json_text() == json.dumps(row.to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "results", list(itertools.product((True, False), repeat=5)), ids=str
+)
+def test_family_row_prints_each_result_under_its_check_name(results):
+    row = FamilyReportRow(FAMILY_ENTRY, results)
+    text = row.to_json_text()
+    assert text == json.dumps(row.to_json_dict())
+    assert list(json.loads(text)["checks"]) == list(CHECK_NAMES)
+    assert row.checks == dict(zip(CHECK_NAMES, results))
+    assert row.passed == all(results)
 
 
 @pytest.mark.parametrize(
     "value",
-    [FAMILY_ENTRY, FamilyReportRow(FAMILY_ENTRY, {"pair": True, "identity": False})],
+    [FAMILY_ENTRY, FamilyReportRow(FAMILY_ENTRY, ROW_RESULTS)],
     ids=lambda value: type(value).__name__,
 )
 def test_family_values_are_frozen_slots_that_pickle_and_copy(value):
@@ -564,7 +581,7 @@ def test_family_entry_checks_types_only():
     # Not a family pair at all, but well typed: verify_family reports such
     # an entry as failing rather than the constructor refusing it.
     entry = FamilyEntry(5, SHAPE, SHAPE)
-    assert FamilyReportRow(entry, {"pair": False}).passed is False
+    assert FamilyReportRow(entry, (False, True, True, True, True)).passed is False
 
 
 def test_canonical_key_refuses_a_field_that_is_not_an_int():
@@ -612,24 +629,6 @@ def test_census_row_refuses_a_number_that_is_not_an_int(position, wrong):
     )
 
 
-@pytest.mark.parametrize(
-    "args,kinds",
-    [
-        (((4, SHAPE, SHAPE), {"pair": True}), "tuple, dict"),
-        ((None, {"pair": True}), "NoneType, dict"),
-        ((FAMILY_ENTRY, [("pair", True)]), "FamilyEntry, list"),
-    ],
-    ids=["tuple_entry", "none_entry", "list_checks"],
-)
-def test_family_row_refuses_an_entry_or_checks_of_the_wrong_type(args, kinds):
-    with pytest.raises(HeronianError) as info:
-        FamilyReportRow(*args)
-    assert type(info.value) is HeronianError
-    assert str(info.value) == (
-        f"entry and checks must be a FamilyEntry and a mapping, got ({kinds})"
-    )
-
-
 # The value-type gate: every dataclass or NamedTuple amigram exports.
 
 
@@ -655,7 +654,7 @@ BIG_SAMPLES = {
     CanonicalKey: CanonicalKey(BIG, BIG, BIG),
     CensusRow: CensusRow(BIG, BIG, BIG, BIG, True, False),
     FamilyEntry: BIG_ENTRY,
-    FamilyReportRow: FamilyReportRow(BIG_ENTRY, {"pair": True, "identity": False}),
+    FamilyReportRow: FamilyReportRow(BIG_ENTRY, ROW_RESULTS),
     Parallelogram: BIG_SHAPE,
     PerimeterCounts: PerimeterCounts(BIG, BIG, BIG, BIG),
     RectanglePair: RectanglePair((BIG, BIG), (1, BIG)),
@@ -757,3 +756,18 @@ def test_exported_value_types_refuse_a_wrong_typed_field(digit_limit, cls):
             args[name] = wrong
             with pytest.raises(error):
                 cls(**args)
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_exported_value_types_hash_copy_and_convert(digit_limit, cls):
+    value = sample_of(cls)
+    names = field_names(cls)
+    assert hash(value) == hash(copy.deepcopy(value))
+    if dataclasses.is_dataclass(cls):
+        assert len(dataclasses.astuple(value)) == len(names)
+        assert list(dataclasses.asdict(value)) == names
+    else:
+        assert tuple(value) == tuple(getattr(value, name) for name in names)
+        assert list(value._asdict()) == names
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        assert copy.replace(value) == value
