@@ -30,7 +30,8 @@ both arguments.
 literal exhaustive scan over every candidate base, deliberately ignoring the
 closed form, so the two routes can be played against each other on any
 finite grid.  :func:`companion_scan` is that scan for a perimeter already
-checked, so a grid row checks its perimeter once, not once per cell.
+checked, so a grid row checks its perimeter once, not once per cell:
+:func:`verify_row` is that row, the cells of ``amigram verify``.
 Likewise :func:`companion_bases_exhaustive` is the literal scan that
 :func:`companion_base_range` replaces; it stays as the oracle.
 """
@@ -299,6 +300,24 @@ def companion_scan(area: int, perimeter: int) -> bool:
             return True
         b += 1
     return False
+
+
+def verify_row(perimeter: int) -> tuple[int, list[tuple[int, int]]]:
+    """Grid row for one perimeter: (cells, disagreeing areas).
+
+    The perimeter is checked once here and every area is an int, so each
+    cell is the two bare calls, closed form then brute-force scan, and
+    nothing else.
+    """
+    require_even_perimeter(perimeter)
+    half = perimeter // 2
+    cells = (half // 2) * ((half + 1) // 2)
+    disagreements = []
+    for area in range(1, cells + 1):
+        # Both sides are bools, so identity is equality.
+        if (closed_form(area, perimeter) is _OK) is not companion_scan(area, perimeter):
+            disagreements.append((area, perimeter))
+    return cells, disagreements
 
 
 def companion_base_range(area: int, perimeter: int) -> range:

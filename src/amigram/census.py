@@ -22,7 +22,9 @@ in O(1) arithmetic, :func:`count_amicable` is the list of them, and the
 
 The census and the rectangle pairs each have a fast route and keep the
 literal search it replaced (:func:`count_amicable_exhaustive`,
-:func:`amicable_rectangle_pairs_exhaustive`) as its test oracle.
+:func:`amicable_rectangle_pairs_exhaustive`) as its test oracle.  Every
+entry that takes a maximum perimeter walks :func:`core.perimeters_up_to`,
+which checks it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .core import (
     Parallelogram,
     int_to_decimal,
     non_integer_fields,
+    perimeters_up_to,
     prechecked,
     require_even_perimeter,
     require_int,
@@ -196,15 +199,15 @@ def enumerate_by_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
     """Every canonical parallelogram with this exact area and perimeter up
     to ``max_perimeter``, ordered by (perimeter, shorter side).  Invalid
     input raises here, not at the first ``next()``."""
-    require_even_perimeter(max_perimeter)
+    perimeters = perimeters_up_to(max_perimeter)
     require_positive_area(area)
-    return _shapes_with_area(area, max_perimeter)
+    return _shapes_with_area(area, perimeters)
 
 
-def _shapes_with_area(area: int, max_perimeter: int) -> Iterator[Parallelogram]:
+def _shapes_with_area(area: int, perimeters: range) -> Iterator[Parallelogram]:
     # The short sides that carry the area are the splits of perimeter/2 from
     # the least one with short*long >= area up to the middle.
-    for perimeter in range(4, max_perimeter + 1, 2):
+    for perimeter in perimeters:
         half = perimeter // 2
         for short in range(splits_at_least(half, area).start, half // 2 + 1):
             yield Parallelogram(short, half - short, area)
@@ -276,23 +279,21 @@ def count_amicable(max_perimeter: int) -> list[PerimeterCounts]:
     is :func:`count_amicable_exhaustive`, which builds every shape and
     decides each one.
     """
-    require_even_perimeter(max_perimeter)
-    return list(map(perimeter_counts, range(4, max_perimeter + 1, 2)))
+    return list(map(perimeter_counts, perimeters_up_to(max_perimeter)))
 
 
 def count_amicable_exhaustive(max_perimeter: int) -> list[PerimeterCounts]:
     """The same tallies by a plain exhaustive sweep: every canonical shape is
-    enumerated and run through the amicability test.  The oracle for
-    :func:`count_amicable`.
+    enumerated and run through :func:`is_amicable` and
+    :func:`is_self_amicable`.  The oracle for :func:`count_amicable`.
     """
-    require_even_perimeter(max_perimeter)
     table = []
-    for perimeter in range(4, max_perimeter + 1, 2):
+    for perimeter in perimeters_up_to(max_perimeter):
         total = amicable = self_amicable = 0
-        for row in census_rows(perimeter):
+        for shape in enumerate_by_perimeter(perimeter):
             total += 1
-            amicable += row.amicable
-            self_amicable += row.self_amicable
+            amicable += is_amicable(shape)
+            self_amicable += is_self_amicable(shape)
         table.append(PerimeterCounts(perimeter, total, amicable, self_amicable))
     return table
 

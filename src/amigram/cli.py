@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: check, family, verify, enumerate, census, rectangles,
-witness, render.  Every handler keeps one contract: it checks its input
-before it returns, and it returns only its lines.  main alone writes them,
-to stdout unless -o is given, errors to stderr, and takes the exit code
-after the last line: the return value of a handler's generator, where None,
-or lines that are not a generator, count as 0.  Exit codes:
+Subcommands: check, family, verify, enumerate, census, rectangles, witness,
+render.  The module parses flags and writes the library's rows; it binds no
+decision rule: ``verify``'s cells are :func:`amicability.verify_row` and
+its grid, like ``census``'s, is :func:`core.perimeters_up_to`.  Every
+handler keeps one contract: it checks its input before it returns, and it
+returns only its lines.  main alone writes them, to stdout unless -o is
+given, errors to stderr, and takes the exit code after the last line: the
+return value of a handler's generator, where None, or lines that are not a
+generator, count as 0.  Exit codes:
 0 = computed successfully (a "not amicable" verdict is a success),
 1 = invalid input, 2 = a mathematical cross-check failed (a bug).
 
@@ -26,17 +29,15 @@ from itertools import chain
 from typing import Generator, Iterable, Sequence
 
 from .amicability import (
-    Reason,
     classify,
     classify_invariants,
-    closed_form,
-    companion_scan,
+    verify_row,
 )
 from .core import (
     HeronianError,
     Parallelogram,
     decimal_to_int,
-    require_even_perimeter,
+    perimeters_up_to,
 )
 
 # census, families and render are imported inside the handlers that use
@@ -76,28 +77,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# A module global, so no cell of a verify row pays an Enum attribute lookup.
-_OK = Reason.OK
-
-
-def _verify_perimeter(perimeter: int) -> tuple[int, list[tuple[int, int]]]:
-    """Grid row for one perimeter: (cells, disagreeing areas).
-
-    The perimeter is checked once here and every area is an int, so each
-    cell is the two bare calls, closed form then brute-force scan, and
-    nothing else.
-    """
-    require_even_perimeter(perimeter)
-    half = perimeter // 2
-    cells = (half // 2) * ((half + 1) // 2)
-    disagreements = []
-    for area in range(1, cells + 1):
-        # Both sides are bools, so identity is equality.
-        if (closed_form(area, perimeter) is _OK) is not companion_scan(area, perimeter):
-            disagreements.append((area, perimeter))
-    return cells, disagreements
-
-
 def _cmd_check(args) -> Iterable[str]:
     if args.perimeter is not None and args.base is None and args.side is None:
         verdict = classify_invariants(args.area, args.perimeter)
@@ -124,16 +103,15 @@ def _family_lines(rows) -> Generator[str, None, int]:
 
 
 def _cmd_verify(args) -> Generator[str, None, int]:
-    require_even_perimeter(args.max_perimeter)  # before the first line
-    return _verify_lines(args.max_perimeter)
+    perimeters = perimeters_up_to(args.max_perimeter)  # checked before the first line
+    return _verify_lines(args.max_perimeter, map(verify_row, perimeters))
 
 
-def _verify_lines(max_perimeter: int) -> Generator[str, None, int]:
+def _verify_lines(max_perimeter: int, rows) -> Generator[str, None, int]:
     """Every grid row in this process, one perimeter at a time, keeping
     only the running cell count and the disagreements: the agreements are
     the cells that did not disagree.  The totals come first, so the whole
     grid is computed before the first line."""
-    rows = map(_verify_perimeter, range(4, max_perimeter + 1, 2))
     cells = 0
     disagreements = []
     for row_cells, row_disagreements in rows:
@@ -162,8 +140,8 @@ def _cmd_enumerate(args) -> Iterable[str]:
 def _cmd_census(args) -> Iterable[str]:
     from .census import perimeter_counts
 
-    require_even_perimeter(args.max_perimeter)  # before the first line
-    counts = map(perimeter_counts, range(4, args.max_perimeter + 1, 2))
+    perimeters = perimeters_up_to(args.max_perimeter)  # checked before the first line
+    counts = map(perimeter_counts, perimeters)
     return chain(
         ["perimeter,total,amicable,self_amicable"],
         (f"{c.perimeter},{c.total},{c.amicable},{c.self_amicable}" for c in counts),

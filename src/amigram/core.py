@@ -556,6 +556,14 @@ def require_even_perimeter(perimeter: int) -> None:
         )
 
 
+def perimeters_up_to(max_perimeter: int) -> range:
+    """Every perimeter from 4 to ``max_perimeter``: the grid of ``verify``,
+    the census and :func:`census.enumerate_by_area`.  Checks the maximum
+    when called, as :func:`require_even_perimeter` does."""
+    require_even_perimeter(max_perimeter)
+    return range(4, max_perimeter + 1, 2)
+
+
 def require_positive_area(area: int) -> None:
     """Reject areas no parallelogram can have (not an int, or below 1)."""
     require_int(area, "area")

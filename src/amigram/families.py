@@ -196,10 +196,15 @@ def family_pair(n: int) -> FamilyEntry:
     Two doubling passes, (F(n), F(n+1)) and L(n), give the rectangle and
     the partner's area 2F(n+3) = 2(F(n) + 2F(n+1)).  The partner's base and
     side (F(2n-2), F(2n-1)) are one more doubling step of the pass's loop,
-    taken at k = n - 1 from F(n-1) = F(n+1) - F(n) and F(n).  Both members
-    go through the validating constructors, so the partner's existence
-    bound is enforced rather than assumed; the entry, a checked index and
-    two checked shapes, is valid by construction and skips its check.
+    taken at k = n - 1 from F(n-1) = F(n+1) - F(n) and F(n).  L(n) must
+    come from :func:`lucas`'s own walk, not from F(n-1) + F(n+1): written
+    that way, both cross equalities are polynomial identities in
+    (F(n), F(n+1)) and hold for any pair, so a wrong F(n) would still pass
+    its row's ``pair`` check; the second walk is what catches it.  Both
+    members go through the validating constructors, so the partner's
+    existence bound is enforced rather than assumed; the entry, a checked
+    index and two checked shapes, is valid by construction and skips its
+    check.
     """
     _require_family_index(n)
     f, f1 = _fib_pair(n)

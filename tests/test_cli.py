@@ -125,14 +125,14 @@ class TestVerify:
     def test_injected_disagreement_exits_2(self, monkeypatch, capsys):
         # force the closed form to lie on one cell; the brute force should
         # catch it and flip the exit code
-        real = cli.closed_form
+        real = amicability.closed_form
 
         def liar(area, perimeter):
             if (area, perimeter) == (3, 8):
                 return Reason.OK
             return real(area, perimeter)
 
-        monkeypatch.setattr(cli, "closed_form", liar)
+        monkeypatch.setattr(amicability, "closed_form", liar)
         code = cli.main(["verify", "--max-perimeter", "8"])
         out = capsys.readouterr().out
         assert code == 2
@@ -146,38 +146,53 @@ class TestVerify:
         def refuse(perimeter):
             raise FirstCall(perimeter)
 
-        monkeypatch.setattr(cli, "_verify_perimeter", refuse)
+        # A row checks its perimeter before its first cell.
+        monkeypatch.setattr(amicability, "require_even_perimeter", refuse)
         with pytest.raises(FirstCall) as info:
             cli.main(["verify", "--max-perimeter", "1000000000000"])
         assert info.value.args == (4,)
 
     def test_bruteforce_side_never_consults_the_closed_form(self, monkeypatch, capsys):
+        # The row and the scan share amicability's bindings, so the rule
+        # refuses only while a wrapped scan runs.
+        real_scan = amicability.companion_scan
+        scanning = False
+
+        def scan(area, perimeter):
+            nonlocal scanning
+            scanning = True
+            try:
+                return real_scan(area, perimeter)
+            finally:
+                scanning = False
+
         def refuse(area, perimeter):
             raise AssertionError("the brute-force side must not call decide or closed_form")
 
+        def rule(area, perimeter):
+            if scanning:
+                refuse(area, perimeter)
+            if area % 2 == 0 and area * area >= 16 * perimeter:
+                return Reason.OK
+            return Reason.BOUND_FAIL
+
         monkeypatch.setattr(amicability, "decide", refuse)
-        monkeypatch.setattr(amicability, "closed_form", refuse)
-        monkeypatch.setattr(
-            cli,
-            "closed_form",
-            lambda area, perimeter: Reason.OK
-            if area % 2 == 0 and area * area >= 16 * perimeter
-            else Reason.BOUND_FAIL,
-        )
+        monkeypatch.setattr(amicability, "closed_form", rule)
+        monkeypatch.setattr(amicability, "companion_scan", scan)
         assert cli.main(["verify", "--max-perimeter", "40"]) == 0
         assert capsys.readouterr().out == (
             "max perimeter: 40\ncells: 715\nagreements: 715\ndisagreements: 0\n"
         )
 
     def test_injected_bruteforce_lie_exits_2(self, monkeypatch, capsys):
-        real = cli.companion_scan
+        real = amicability.companion_scan
 
         def liar(area, perimeter):
             if (area, perimeter) == (4, 8):
                 return True
             return real(area, perimeter)
 
-        monkeypatch.setattr(cli, "companion_scan", liar)
+        monkeypatch.setattr(amicability, "companion_scan", liar)
         code = cli.main(["verify", "--max-perimeter", "8"])
         out = capsys.readouterr().out
         assert code == 2
@@ -185,14 +200,14 @@ class TestVerify:
         assert "disagree: area=4 perimeter=8" in out
 
     def test_lies_in_two_rows_are_reported_in_perimeter_order(self, monkeypatch, capsys):
-        real = cli.companion_scan
+        real = amicability.companion_scan
         # A false "yes" in the perimeter-8 row and a false "no" in the 16 row.
         lies = {(4, 8): True, (16, 16): False}
 
         def liar(area, perimeter):
             return lies.get((area, perimeter), real(area, perimeter))
 
-        monkeypatch.setattr(cli, "companion_scan", liar)
+        monkeypatch.setattr(amicability, "companion_scan", liar)
         code = cli.main(["verify", "--max-perimeter", "16"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 2
@@ -207,7 +222,7 @@ class TestVerify:
     @pytest.mark.parametrize("perimeter", [7, 2])
     def test_row_refuses_impossible_perimeter(self, perimeter):
         with pytest.raises(InvalidPerimeter):
-            cli._verify_perimeter(perimeter)
+            amicability.verify_row(perimeter)
 
     def test_row_matches_the_public_routes(self):
         for perimeter in range(4, 121, 2):
@@ -219,7 +234,7 @@ class TestVerify:
                 if is_amicable_invariants(area, perimeter)
                 != companion_exists_bruteforce(area, perimeter)
             ]
-            assert cli._verify_perimeter(perimeter) == (len(areas), disagreements)
+            assert amicability.verify_row(perimeter) == (len(areas), disagreements)
 
 
 class TestEnumerate:

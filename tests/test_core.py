@@ -18,6 +18,7 @@ from amigram import (
     fib,
     int_to_decimal,
 )
+from amigram.core import perimeters_up_to
 
 
 class TestConstructFromBaseSideArea:
@@ -70,6 +71,13 @@ class TestDerivedQuantities:
     )
     def test_perimeter(self, triple, perimeter):
         assert Parallelogram(*triple).perimeter == perimeter
+
+    @pytest.mark.parametrize(
+        "max_perimeter,perimeters",
+        [(4, range(4, 5, 2)), (10, range(4, 11, 2))],
+    )
+    def test_perimeters_up_to(self, max_perimeter, perimeters):
+        assert perimeters_up_to(max_perimeter) == perimeters
 
     @pytest.mark.parametrize(
         "triple,height",

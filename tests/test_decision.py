@@ -138,7 +138,9 @@ def test_every_closed_form_route_answers_from_the_rule(monkeypatch):
         return Reason.ODD_AREA
 
     patched = patch_every_binding(monkeypatch, "closed_form", rule)
-    assert {"amigram.amicability", "amigram.census", "amigram.cli"} <= set(patched)
+    assert {"amigram.amicability", "amigram.census"} <= set(patched)
+    # The CLI binds no rule and no scan: verify's cells are verify_row's.
+    assert not {"closed_form", "companion_scan"} & vars(cli).keys()
 
     def from_rule(route, *args):
         before = len(calls)
@@ -163,7 +165,7 @@ def test_every_closed_form_route_answers_from_the_rule(monkeypatch):
     assert from_rule(companion_base_range, 42, 26) == range(0)
     assert from_rule(all_companion_bases, shape) == []
     del calls[:]
-    cells, disagreements = from_rule(cli._verify_perimeter, 26)
+    cells, disagreements = from_rule(amicability.verify_row, 26)
     assert calls == [(area, 26) for area in range(1, cells + 1)]
     assert disagreements == [
         (area, 26) for area in range(1, cells + 1) if companion_scan(area, 26)

@@ -104,10 +104,14 @@ LIBRARY_MESSAGES = [
      "perimeter must be an even integer >= 4, got 0"),
     (["verify", "--max-perimeter", "-400"],
      "perimeter must be an even integer >= 4, got -400"),
+    (["verify", "--max-perimeter", "41"],
+     "perimeter must be an even integer >= 4, got 41"),
     (["enumerate", "--perimeter", "0"],
      "perimeter must be an even integer >= 4, got 0"),
     (["census", "--max-perimeter", "0"],
      "perimeter must be an even integer >= 4, got 0"),
+    (["census", "--max-perimeter", "2"],
+     "perimeter must be an even integer >= 4, got 2"),
     (["witness", "--area", "0"], "area must be positive, got 0"),
     (["witness", "--area", "-2"], "area must be positive, got -2"),
     (["witness", "--perimeter", "0"],

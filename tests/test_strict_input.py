@@ -7,7 +7,6 @@ import pytest
 
 from amigram import (
     HeronianError,
-    InvalidPerimeter,
     NonIntegerArea,
     NonIntegerDimension,
     Parallelogram,
@@ -31,8 +30,10 @@ from amigram.census import (
     amicable_rectangle_pairs,
     amicable_rectangle_pairs_exhaustive,
     count_amicable,
+    count_amicable_exhaustive,
     perimeter_counts,
 )
+from amigram.core import perimeters_up_to, require_even_perimeter
 
 SHAPE = {"base": "8", "side": "13", "area": "26"}
 
@@ -190,7 +191,29 @@ def test_rectangle_pairs_below_one_side_are_none(function, max_side):
     assert function(max_side) == []
 
 
-@pytest.mark.parametrize("perimeter", [7, 2])
-def test_census_row_refuses_a_bad_perimeter(perimeter):
-    with pytest.raises(InvalidPerimeter):
-        perimeter_counts(perimeter)
+@pytest.mark.parametrize("perimeter", [7, 2, 41, 0, True, 8.0])
+@pytest.mark.parametrize(
+    "function",
+    [
+        perimeter_counts,
+        count_amicable,
+        count_amicable_exhaustive,
+        # A bad area too: the perimeter is checked first.
+        lambda max_perimeter: enumerate_by_area(0, max_perimeter),
+        perimeters_up_to,
+    ],
+    ids=[
+        "perimeter_counts",
+        "count_amicable",
+        "count_amicable_exhaustive",
+        "enumerate_by_area",
+        "perimeters_up_to",
+    ],
+)
+def test_bad_perimeter_is_refused_as_require_even_perimeter_does(function, perimeter):
+    with pytest.raises(HeronianError) as expected:
+        require_even_perimeter(perimeter)
+    with pytest.raises(HeronianError) as exc:
+        function(perimeter)
+    assert exc.type is expected.type
+    assert str(exc.value) == str(expected.value)
