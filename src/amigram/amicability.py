@@ -16,11 +16,13 @@ bases that work form one interval around the peak:
 the one place that interval is solved.
 
 :func:`closed_form` is the one place that rule is written, for a positive
-int area and a checked perimeter, and :func:`least_amicable_area` solves it
-for the least area A0 it passes at a perimeter, the threshold a census
-counts from.  :func:`decide` is its checked entry: it refuses a bad
-perimeter, then a bad area, then returns the rule.  Routes on checked
-data call the rule directly: :func:`classify`,
+int area and a checked perimeter, and this module is the only one that
+binds it or :func:`companion_scan`: a census row asks :func:`is_amicable`.
+:func:`least_amicable_area` solves the rule for the least area A0 it
+passes at a perimeter, the threshold a census counts from.
+:func:`decide` is its checked entry: it refuses a bad perimeter, then a
+bad area, then returns the rule.  Routes on checked data call the rule
+directly: :func:`classify`,
 :func:`is_amicable`, :func:`companion` and :func:`all_companion_bases`,
 whose shape the ``Parallelogram`` constructor validated, and
 :func:`classify_invariants` once :func:`exists_heronian_with` has passed

@@ -20,6 +20,11 @@ over such splits have a closed form: :func:`perimeter_counts` is one row
 in O(1) arithmetic, :func:`count_amicable` is the list of them, and the
 ``census`` command streams them.
 
+The module applies no amicability rule of its own: a row's flags are
+:func:`amicability.is_amicable` and :func:`amicability.is_self_amicable`,
+and the counted census reads its threshold off
+:func:`amicability.least_amicable_area`.
+
 The census and the rectangle pairs each have a fast route and keep the
 literal search it replaced (:func:`count_amicable_exhaustive`,
 :func:`amicable_rectangle_pairs_exhaustive`) as its test oracle.  Every
@@ -33,7 +38,7 @@ from itertools import count
 from math import isqrt
 from typing import Iterator
 
-from .amicability import Reason, closed_form, is_amicable, is_self_amicable, least_amicable_area
+from .amicability import is_amicable, is_self_amicable, least_amicable_area
 from .core import (
     HeronianError,
     Parallelogram,
@@ -49,7 +54,6 @@ from .core import (
 )
 
 CSV_HEADER = "short_side,long_side,area,perimeter,amicable,self_amicable"
-_OK = Reason.OK
 
 
 @value_type
@@ -83,7 +87,8 @@ class CensusRow:
         return (
             f"{int_to_decimal(self.short_side)},{int_to_decimal(self.long_side)},"
             f"{int_to_decimal(self.area)},{int_to_decimal(self.perimeter)},"
-            f"{str(self.amicable).lower()},{str(self.self_amicable).lower()}"
+            f'{"true" if self.amicable else "false"},'
+            f'{"true" if self.self_amicable else "false"}'
         )
 
     def to_json_dict(self) -> dict:
@@ -214,16 +219,14 @@ def _shapes_with_area(area: int, perimeters: range) -> Iterator[Parallelogram]:
 
 
 def census_row(shape: Parallelogram) -> CensusRow:
-    # The constructor has checked the shape, so the bare rule decides it.
+    # is_amicable applies the rule; this module applies none.
     key = shape.canonical_key
-    area = shape.area
-    perimeter = shape.perimeter
     return CensusRow(
         key.short_side,
         key.long_side,
-        area,
-        perimeter,
-        closed_form(area, perimeter) is _OK,
+        shape.area,
+        shape.perimeter,
+        is_amicable(shape),
         is_self_amicable(shape),
     )
 

@@ -3,7 +3,9 @@
 Subcommands: check, family, verify, enumerate, census, rectangles, witness,
 render.  The module parses flags and writes the library's rows; it binds no
 decision rule: ``verify``'s cells are :func:`amicability.verify_row` and
-its grid, like ``census``'s, is :func:`core.perimeters_up_to`.  Every
+its grid, like ``census``'s, is :func:`core.perimeters_up_to`.  Nor does it
+hold a default the library holds: ``render``'s canvas flags default to
+None, and an absent one takes :class:`render.RenderSpec`'s value.  Every
 handler keeps one contract: it checks its input before it returns, and it
 returns only its lines.  main alone writes them, to stdout unless -o is
 given, errors to stderr, and takes the exit code after the last line: the
@@ -168,12 +170,12 @@ def _cmd_witness(args) -> Iterable[str]:
 def _cmd_render(args) -> Iterable[str]:
     from .render import RenderSpec, render_svg
 
+    # RenderSpec alone holds the canvas defaults, so only given flags reach it.
+    canvas = {name: getattr(args, name) for name in ("width", "height", "margin")}
     spec = RenderSpec(
         parallelogram=Parallelogram(args.base, args.side, args.area),
         include_companion=args.companion,
-        width=args.width,
-        height=args.height,
-        margin=args.margin,
+        **{name: value for name, value in canvas.items() if value is not None},
     )
     return render_svg(spec).splitlines()
 
@@ -242,9 +244,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--side", type=_integer, required=True)
     p.add_argument("--area", type=_integer, required=True)
     p.add_argument("--companion", action="store_true")
-    p.add_argument("--width", type=_integer, default=640)
-    p.add_argument("--height", type=_integer, default=360)
-    p.add_argument("--margin", type=_integer, default=24)
+    p.add_argument("--width", type=_integer)
+    p.add_argument("--height", type=_integer)
+    p.add_argument("--margin", type=_integer)
     p.set_defaults(handler=_cmd_render)
 
     return parser

@@ -336,10 +336,29 @@ class TestRender:
         )
         assert result.returncode == 1
 
-    def test_zero_margin_drawn_as_the_library_draws_it(self, capsys):
-        argv = ["render", "--base", "7", "--side", "6", "--area", "42", "--margin", "0"]
+    @pytest.mark.parametrize(
+        "flags,given",
+        [
+            ([], {}),
+            (["--width", "800"], {"width": 800}),
+            (["--height", "200"], {"height": 200}),
+            (["--margin", "0"], {"margin": 0}),
+            (
+                ["--width", "800", "--height", "200", "--margin", "0"],
+                {"width": 800, "height": 200, "margin": 0},
+            ),
+            (
+                ["--companion", "--width", "900"],
+                {"include_companion": True, "width": 900},
+            ),
+        ],
+        ids=["no-canvas-flag", "width", "height", "margin", "all-three", "companion-width"],
+    )
+    def test_zero_margin_drawn_as_the_library_draws_it(self, capsys, flags, given):
+        # An absent canvas flag takes RenderSpec's default, not one of the CLI's.
+        argv = ["render", "--base", "7", "--side", "6", "--area", "42", *flags]
         assert cli.main(argv) == 0
-        expected = render_svg(RenderSpec(Parallelogram(7, 6, 42), margin=0))
+        expected = render_svg(RenderSpec(Parallelogram(7, 6, 42), **given))
         assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize(

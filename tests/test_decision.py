@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amigram.amicability as amicability
+import amigram.census as census
 import amigram.cli as cli
 from amigram import (
     HeronianError,
@@ -138,9 +139,11 @@ def test_every_closed_form_route_answers_from_the_rule(monkeypatch):
         return Reason.ODD_AREA
 
     patched = patch_every_binding(monkeypatch, "closed_form", rule)
-    assert {"amigram.amicability", "amigram.census"} <= set(patched)
-    # The CLI binds no rule and no scan: verify's cells are verify_row's.
-    assert not {"closed_form", "companion_scan"} & vars(cli).keys()
+    assert patched == ["amigram.amicability"]
+    # Neither the CLI nor the census binds the rule or the scan: verify's
+    # cells are verify_row's, and a census row asks is_amicable.
+    for module in (cli, census):
+        assert not {"closed_form", "companion_scan"} & vars(module).keys(), module
 
     def from_rule(route, *args):
         before = len(calls)
