@@ -53,7 +53,6 @@ from .core import (
     require_int,
     require_positive_area,
     splits_at_least,
-    value_repr,
     value_type,
 )
 
@@ -102,10 +101,7 @@ class Verdict:
             if reason is _OK
             else amicable is False and companion is None and type(reason) is Reason
         ):
-            raise ValueError(
-                f"inconsistent verdict: Verdict(amicable={value_repr(amicable)}, "
-                f"reason={value_repr(reason)}, companion={value_repr(companion)})"
-            )
+            raise ValueError(f"inconsistent verdict: {self!r}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,7 +173,8 @@ def is_amicable_invariants(area: int, perimeter: int) -> bool:
 def is_amicable(shape: Parallelogram) -> bool:
     """True iff the parallelogram belongs to an amicable pair.
 
-    The constructor has checked the shape, so this runs the bare rule.
+    Reads only ``area`` and ``perimeter``, so a ``census.CensusRow`` asks it
+    too.  The constructor has checked the shape, so this runs the bare rule.
     """
     return closed_form(shape.area, shape.perimeter) is _OK
 
@@ -371,7 +368,10 @@ def all_companion_bases(shape: Parallelogram) -> list[int]:
 
 
 def is_self_amicable(shape: Parallelogram) -> bool:
-    """True iff the shape pairs with itself (area equals own perimeter)."""
+    """True iff the shape pairs with itself (area equals own perimeter).
+
+    Reads only ``area`` and ``perimeter``, as :func:`is_amicable` does.
+    """
     return shape.area == shape.perimeter
 
 

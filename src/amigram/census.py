@@ -42,6 +42,7 @@ from .amicability import is_amicable, is_self_amicable, least_amicable_area
 from .core import (
     HeronianError,
     Parallelogram,
+    exceeds_product,
     int_to_decimal,
     non_integer_fields,
     perimeters_up_to,
@@ -50,6 +51,7 @@ from .core import (
     require_int,
     require_positive_area,
     splits_at_least,
+    value_repr,
     value_type,
 )
 
@@ -58,30 +60,44 @@ CSV_HEADER = "short_side,long_side,area,perimeter,amicable,self_amicable"
 
 @value_type
 class CensusRow:
-    """One canonical parallelogram with its amicability flags."""
+    """One canonical parallelogram, with its perimeter and amicability flags
+    read off its sides and area.
+
+    The constructor refuses fields that are not plain ints or that name no
+    shape (1 <= short_side <= long_side, 1 <= area <= short_side*long_side),
+    so no row carries a flag the rule contradicts.
+    """
 
     short_side: int
     long_side: int
     area: int
-    perimeter: int
-    amicable: bool
-    self_amicable: bool
 
     def __post_init__(self) -> None:
-        # Identity, not equality: a flag of 1 or 0 would print as a number
-        # from to_json_dict and to_csv but as true or false from to_json_text,
-        # and a bool or other int subclass is refused where an int is due.
-        if not (
-            type(self.short_side) is type(self.long_side) is type(self.area)
-            is type(self.perimeter) is int
-        ):
-            raise non_integer_fields(
-                "short_side, long_side, area, and perimeter",
-                (self.short_side, self.long_side, self.area, self.perimeter),
+        # Identity, not equality: a bool or other int subclass is refused.
+        short, long, area = self.short_side, self.long_side, self.area
+        if not type(short) is type(long) is type(area) is int:
+            raise non_integer_fields("short_side, long_side, and area", (short, long, area))
+        if not 1 <= short <= long or area < 1 or exceeds_product(area, short, long):
+            raise HeronianError(
+                "short_side, long_side, and area must satisfy 1 <= short_side <= "
+                "long_side and 1 <= area <= short_side*long_side, got "
+                f"{value_repr((short, long, area))}"
             )
-        if not type(self.amicable) is type(self.self_amicable) is bool:
-            kinds = f"{type(self.amicable).__name__}, {type(self.self_amicable).__name__}"
-            raise HeronianError(f"amicable and self_amicable must be bools, got ({kinds})")
+
+    @property
+    def perimeter(self) -> int:
+        """2*(short_side + long_side)."""
+        return 2 * (self.short_side + self.long_side)
+
+    @property
+    def amicable(self) -> bool:
+        """:func:`amicability.is_amicable` of this shape."""
+        return is_amicable(self)
+
+    @property
+    def self_amicable(self) -> bool:
+        """:func:`amicability.is_self_amicable` of this shape."""
+        return is_self_amicable(self)
 
     def to_csv(self) -> str:
         return (
@@ -219,16 +235,7 @@ def _shapes_with_area(area: int, perimeters: range) -> Iterator[Parallelogram]:
 
 
 def census_row(shape: Parallelogram) -> CensusRow:
-    # is_amicable applies the rule; this module applies none.
-    key = shape.canonical_key
-    return CensusRow(
-        key.short_side,
-        key.long_side,
-        shape.area,
-        shape.perimeter,
-        is_amicable(shape),
-        is_self_amicable(shape),
-    )
+    return CensusRow(*shape.canonical_key)
 
 
 def census_rows(perimeter: int) -> Iterator[CensusRow]:
@@ -347,7 +354,9 @@ def amicable_rectangle_pairs(max_side: int = 1000) -> list[RectanglePair]:
     complete for every ``max_side``: a candidate is kept when b is an
     integer >= a, a*b is even and d = a*b/2 - c >= c (c*d = 2(a + b) then
     follows), and some member's long side is at most ``max_side``.  Its
-    oracle is :func:`amicable_rectangle_pairs_exhaustive`.
+    oracle is :func:`amicable_rectangle_pairs_exhaustive`.  The pairs come
+    sorted by member, which lists every distinct pair (first short side 1
+    or 2) before the two self-pairs (3 x 6 and 4 x 4).
     """
     require_int(max_side, "max_side")
     found = set()

@@ -153,8 +153,7 @@ def _cmd_census(args) -> Iterable[str]:
 def _cmd_rectangles(args) -> Iterable[str]:
     from .census import RectanglePair, amicable_rectangle_pairs
 
-    ordered = sorted(amicable_rectangle_pairs(), key=lambda p: not p.distinct)  # distinct first
-    return map(RectanglePair.to_json_text, ordered)
+    return map(RectanglePair.to_json_text, amicable_rectangle_pairs())
 
 
 def _cmd_witness(args) -> Iterable[str]:

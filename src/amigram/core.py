@@ -269,8 +269,7 @@ class Parallelogram:
             raise non_integer_fields("base, side, and area", (base, side, area))
         if base < 1 or side < 1 or area < 1:
             raise ZeroDimension(
-                f"base, side, and area must be positive, got ({int_to_decimal(base)}, "
-                f"{int_to_decimal(side)}, {int_to_decimal(area)})"
+                f"base, side, and area must be positive, got {value_repr((base, side, area))}"
             )
         # Below 2**30 each operand is one CPython digit, and the product is
         # cheaper than the bit lengths that would avoid it.  The bound is

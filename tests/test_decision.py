@@ -162,7 +162,7 @@ def test_every_closed_form_route_answers_from_the_rule(monkeypatch):
     assert from_rule(classify_invariants, 42, 26) == Verdict(False, Reason.ODD_AREA, None)
     assert from_rule(classify, shape).reason is Reason.ODD_AREA
     assert from_rule(is_amicable, shape) is False
-    assert from_rule(census_row, shape).amicable is False
+    assert from_rule(lambda s: census_row(s).amicable, shape) is False
     from_rule(refuses, companion_from_invariants, 42, 26)
     from_rule(refuses, companion, shape)
     assert from_rule(companion_base_range, 42, 26) == range(0)

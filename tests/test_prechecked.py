@@ -14,10 +14,10 @@ from itertools import islice
 import pytest
 
 from amigram import (
-    CensusRow,
     FamilyEntry,
     FamilyReportRow,
     Parallelogram,
+    PerimeterCounts,
     Reason,
     Verdict,
     classify,
@@ -109,5 +109,5 @@ def test_builders_store_the_fields_in_order():
 
 
 def test_a_field_count_with_no_builder_is_refused():
-    with pytest.raises(TypeError, match="^no prechecked builder for 6 fields$"):
-        prechecked(CensusRow)
+    with pytest.raises(TypeError, match="^no prechecked builder for 4 fields$"):
+        prechecked(PerimeterCounts)

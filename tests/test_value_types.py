@@ -218,7 +218,7 @@ def test_verdict_accepts_exactly_the_consistent_triples(amicable, reason, compan
 
 
 FROZEN_SLOTS = SAMPLES + [
-    CensusRow(6, 7, 42, 26, True, False),
+    CensusRow(6, 7, 42),
     PerimeterCounts(26, 42, 11, 1),
     RectanglePair((1, 54), (5, 22)),
     RenderSpec(Parallelogram(7, 6, 42)),
@@ -243,30 +243,45 @@ def test_every_other_attribute_refuses_assignment_and_deletion(value):
     assert not hasattr(value, "extra")
 
 
-# 1 == True and 0 == False, but to_json_dict and to_csv would print them as
-# numbers where to_json_text prints true and false.
-NOT_BOOLS = [1, 0, 1.0, None, "true"]
+# Each names no canonical shape: 1 <= short <= long and 1 <= area <= short*long.
+NO_SHAPE = [
+    ((2, 1, 1), "(2, 1, 1)"),
+    ((0, 1, 1), "(0, 1, 1)"),
+    ((1, 0, 1), "(1, 0, 1)"),
+    ((1, 1, 0), "(1, 1, 0)"),
+    ((1, 2, 3), "(1, 2, 3)"),
+    ((BIG, BIG + 1, BIG * (BIG + 1) + 1),
+     f"({'1' + '0' * 5000}, {'1' + '0' * 4999 + '1'}, {'1' + '0' * 4999 + '1' + '0' * 4999 + '1'})"),
+]
 
 
-@pytest.mark.parametrize("flag", NOT_BOOLS, ids=repr)
-@pytest.mark.parametrize("position", [4, 5])
-def test_census_row_flags_must_be_bools(flag, position):
-    args = [1, 2, 2, 6, True, False]
-    args[position] = flag
-    kinds = [type(value).__name__ for value in args[4:]]
-    message = f"amicable and self_amicable must be bools, got ({kinds[0]}, {kinds[1]})"
+@pytest.mark.parametrize(
+    "args,shown",
+    NO_SHAPE,
+    ids=["short_above_long", "zero_short", "zero_long", "zero_area", "area_above_product",
+         "area_above_a_big_product"],
+)
+def test_census_row_refuses_what_names_no_shape(args, shown):
+    message = (
+        "short_side, long_side, and area must satisfy 1 <= short_side <= long_side "
+        f"and 1 <= area <= short_side*long_side, got {shown}"
+    )
     with pytest.raises(HeronianError) as info:
         CensusRow(*args)
     assert type(info.value) is HeronianError
     assert str(info.value) == message
-    row = CensusRow(1, 2, 2, 6, True, False)
-    with pytest.raises(HeronianError, match="^amicable and self_amicable must be bools"):
-        dataclasses.replace(row, **{("amicable", "self_amicable")[position - 4]: flag})
+    row = CensusRow(1, 2, 2)
+    with pytest.raises(HeronianError) as info:
+        dataclasses.replace(row, **dict(zip(["short_side", "long_side", "area"], args)))
+    assert str(info.value) == message
 
 
 FAMILY_ENTRY = FamilyEntry(4, Parallelogram(7, 6, 42), Parallelogram(8, 13, 26))
 
 
+# 1 == True and 0 == False, but to_json_dict would print them as numbers
+# where to_json_text prints true and false.
+NOT_BOOLS = [1, 0, 1.0, None, "true"]
 ROW_RESULTS = (True, False, True, True, False)
 ROW_REFUSAL = "a family row needs a FamilyEntry and a tuple of five bools"
 
@@ -412,8 +427,7 @@ def test_verdict_refusal_prints_an_int_field_past_the_digit_limit(digit_limit, d
 # the written-out one must match wherever that repr prints at all.
 REF_REPR = {
     CensusRow: dataclasses.make_dataclass(
-        "CensusRow",
-        ["short_side", "long_side", "area", "perimeter", "amicable", "self_amicable"],
+        "CensusRow", ["short_side", "long_side", "area"]
     ),
     PerimeterCounts: dataclasses.make_dataclass(
         "PerimeterCounts", ["perimeter", "total", "amicable", "self_amicable"]
@@ -428,7 +442,8 @@ def printed_values():
     """A census row, a tally and a render spec holding ints of any size."""
     size = st.one_of(st.integers(1, 10**30), st.integers(10**599, 10**5000))
     flag = st.booleans()
-    row = st.builds(CensusRow, size, size, size, size, flag, flag)
+    row = st.builds(lambda a, b, area: CensusRow(min(a, b), max(a, b), min(area, a * b)),
+                    size, size, size)
     tally = st.builds(PerimeterCounts, size, size, size, size)
     spec = st.builds(
         RenderSpec, st.builds(Parallelogram, size, size, st.just(1)), flag, size, size, size
@@ -451,12 +466,9 @@ def test_census_values_and_render_specs_print_at_any_size(value):
 
 def test_census_row_and_tally_print_past_the_digit_limit(digit_limit):
     n = BIG
-    text = repr(CensusRow(1, n, n, 2 * (n + 1), True, False))
-    big, perimeter = "1" + "0" * 5000, "2" + "0" * 4999 + "2"
-    assert text == (
-        f"CensusRow(short_side=1, long_side={big}, area={big}, "
-        f"perimeter={perimeter}, amicable=True, self_amicable=False)"
-    )
+    text = repr(CensusRow(1, n, n))
+    big = "1" + "0" * 5000
+    assert text == f"CensusRow(short_side=1, long_side={big}, area={big})"
     counts = perimeter_counts(2 * n)
     assert repr(counts).startswith(f"PerimeterCounts(perimeter=2{'0' * 5000}, total=")
     assert repr(counts).count("=") == 4
@@ -616,17 +628,15 @@ def test_perimeter_counts_refuse_a_field_that_is_not_an_int(position, wrong):
         dataclasses.replace(PerimeterCounts(26, 42, 11, 1), **{name: wrong})
 
 
-@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("position", range(3))
 @pytest.mark.parametrize("wrong", ["6", True, 6.0, None], ids=repr)
 def test_census_row_refuses_a_number_that_is_not_an_int(position, wrong):
-    args = [6, 7, 42, 26, True, False]
+    args = [6, 7, 42]
     args[position] = wrong
-    kinds = ", ".join(type(value).__name__ for value in args[:4])
+    kinds = ", ".join(type(value).__name__ for value in args)
     with pytest.raises(NonIntegerDimension) as info:
         CensusRow(*args)
-    assert str(info.value) == (
-        f"short_side, long_side, area, and perimeter must be ints, got ({kinds})"
-    )
+    assert str(info.value) == f"short_side, long_side, and area must be ints, got ({kinds})"
 
 
 # The value-type gate: every dataclass or NamedTuple amigram exports.
@@ -652,7 +662,7 @@ BIG_ENTRY = FamilyEntry(BIG, BIG_SHAPE, BIG_SHAPE)
 # wherever its constructor admits one.
 BIG_SAMPLES = {
     CanonicalKey: CanonicalKey(BIG, BIG, BIG),
-    CensusRow: CensusRow(BIG, BIG, BIG, BIG, True, False),
+    CensusRow: CensusRow(BIG, BIG, BIG * BIG),
     FamilyEntry: BIG_ENTRY,
     FamilyReportRow: FamilyReportRow(BIG_ENTRY, ROW_RESULTS),
     Parallelogram: BIG_SHAPE,
