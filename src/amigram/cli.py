@@ -8,11 +8,16 @@ hold a default the library holds: ``render``'s canvas flags default to
 None, and an absent one takes :class:`render.RenderSpec`'s value.  Every
 handler keeps one contract: it checks its input before it returns, and it
 returns only its lines.  main alone writes them, to stdout unless -o is
-given, errors to stderr, and takes the exit code after the last line: the
-return value of a handler's generator, where None, or lines that are not a
-generator, count as 0.  Exit codes:
+given, and takes the exit code after the last line: the return value of a
+handler's generator, where None, or lines that are not a generator, count
+as 0.  Every run ends in main, through one route: a bad flag, a library
+refusal and an output that cannot be written each write the one stderr
+line ``amigram: error: <message>`` and return 1.  Only -h raises (argparse's
+SystemExit(0)); a reader that closes stdout ends the run quietly, and an
+interrupt ends the process by SIGINT.  Exit codes:
 0 = computed successfully (a "not amicable" verdict is a success),
-1 = invalid input, 2 = a mathematical cross-check failed (a bug).
+1 = invalid input or an output that cannot be written,
+2 = a mathematical cross-check failed (a bug).
 
 Standard output is a pure function of the arguments: fixed field order,
 LF line endings, no timestamps or locale-dependent formatting.  A JSON line
@@ -46,18 +51,12 @@ from .core import (
 # them, so a subcommand loads only the modules it runs.
 
 
-def _report(message) -> int:
-    """Write the one stderr line every rejection gets; return exit code 1."""
-    sys.stderr.write(f"amigram: error: {message}\n")
-    return 1
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse prints usage and exits 2 on usage errors; 2 is reserved here
-    # for failed mathematical verification, so report them like any other
-    # invalid input.
+    # for failed mathematical verification, so main reports them like any
+    # other invalid input.
     def error(self, message: str):
-        raise SystemExit(_report(message))
+        raise HeronianError(message)
 
 
 def _integer(text: str) -> int:
@@ -256,11 +255,13 @@ _BATCH_CHARS = 65536
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     code = 0  # the handler's, once its lines have run out
+    output = None  # the -o path, once the flags are parsed
     try:
+        args = _build_parser().parse_args(argv)
+        output = args.output
         lines = iter(args.handler(args))
-        with open(args.output, "w", newline="") if args.output else nullcontext(sys.stdout) as out:
+        with nullcontext(sys.stdout) if output is None else open(output, "w", newline="") as out:
             # Lines go out in batches of about _BATCH_CHARS characters:
             # unbuffered stdout (python -u) makes each write a system call,
             # and a batch bounded by characters stays small however long
@@ -279,22 +280,30 @@ def main(argv: Sequence[str] | None = None) -> int:
                     batch, size = [], 0
             if batch:
                 out.write("\n".join(batch) + "\n")
-            out.flush()  # a closed pipe shows here, not at exit
-    except HeronianError as exc:
-        return _report(exc)
+            out.flush()  # a failed write shows here, not at exit
+        return code
+    except HeronianError as exc:  # a bad flag or a library refusal
+        message = exc
     except OSError as exc:
-        if args.output:
-            return _report(f"cannot write {args.output}: {exc.strerror or exc}")
-        if not isinstance(exc, BrokenPipeError):
-            raise
-        # The reader closed stdout (`| head`): stop quietly, last flush to
-        # devnull.  No further line is pulled, so the code stays 0 unless
-        # the lines ran out before the write that failed.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    return code
+        message = f"cannot write {'stdout' if output is None else output}: {exc.strerror or exc}"
+        if output is None:
+            # What stdout still buffers goes to devnull, so the exit flush
+            # cannot report the failure a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                # The reader closed stdout (`| head`): stop quietly.  No
+                # further line is pulled, so the code stays 0 unless the
+                # lines ran out before the write that failed.
+                return code
+    except KeyboardInterrupt:
+        # End by SIGINT itself, with no traceback and nothing more written,
+        # so the caller sees the usual status (130 in a shell).
+        import signal  # only here: no other run loads it
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        raise  # only where the signal is blocked
+    sys.stderr.write(f"amigram: error: {message}\n")
+    return 1

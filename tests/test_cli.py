@@ -426,10 +426,8 @@ class TestCommonBehavior:
         plain = capsys.readouterr()
         assert cli.main(argv + ["--threads", "64"]) == 0
         assert capsys.readouterr() == plain
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--threads", "0"])
+        assert cli.main(argv + ["--threads", "0"]) == 1
         captured = capsys.readouterr()
-        assert exc.value.code == 1
         assert captured.out == ""
         assert captured.err == "amigram: error: argument --threads: must be a positive integer, got 0\n"
 

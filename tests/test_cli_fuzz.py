@@ -147,7 +147,8 @@ def test_any_argv_exits_cleanly(outputs, argv):
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse: -h, or a usage error
+        except SystemExit as exc:  # -h only: main returns 1 for a usage error
+            assert exc.code == 0, argv
             code = exc.code
     out, err = stdout.getvalue(), stderr.getvalue()
     assert code in (0, 1, 2), (argv, code)

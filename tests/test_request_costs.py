@@ -61,7 +61,7 @@ SEQUENCE = [
 def in_process(argv, capsys):
     try:
         code = cli.main(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # SEQUENCE's check -h; a usage error returns 1
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
