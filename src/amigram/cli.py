@@ -7,14 +7,19 @@ its grid, like ``census``'s, is :func:`core.perimeters_up_to`.  Nor does it
 hold a default the library holds: ``render``'s canvas flags default to
 None, and an absent one takes :class:`render.RenderSpec`'s value.  Every
 handler keeps one contract: it checks its input before it returns, and it
-returns only its lines.  main alone writes them, to stdout unless -o is
-given, and takes the exit code after the last line: the return value of a
-handler's generator, where None, or lines that are not a generator, count
-as 0.  Every run ends in main, through one route: a bad flag, a library
-refusal and an output that cannot be written each write the one stderr
-line ``amigram: error: <message>`` and return 1.  Only -h raises (argparse's
-SystemExit(0)); a reader that closes stdout ends the run quietly, and an
-interrupt ends the process by SIGINT.  Exit codes:
+returns only its lines.  run alone writes them, to the stdout it is given
+unless -o is given, and takes the exit code after the last line: the
+return value of a handler's generator, where None, or lines that are not a
+generator, count as 0.  -h is one more report: its usage goes through the
+same writes, exit 0.  Every ending of a run is run's return value: a bad
+flag, a library refusal and an output that cannot be written each write
+the one line ``amigram: error: <message>`` to the stderr it is given and
+return 1, and a reader that closes stdout ends the run quietly.  run reads
+no sys attribute and no file descriptor (argparse alone sizes -h's layout
+to the terminal).  main is run on sys.stdout and sys.stderr plus what only
+a process has: an interrupt ends the process by SIGINT, and a stdout whose
+write failed is dropped, so the exit flush cannot report it again.
+Exit codes:
 0 = computed successfully (a "not amicable" verdict is a success),
 1 = invalid input or an output that cannot be written,
 2 = a mathematical cross-check failed (a bug).
@@ -33,7 +38,7 @@ import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
-from typing import Generator, Iterable, Sequence
+from typing import Generator, Iterable, Sequence, TextIO
 
 from .amicability import (
     classify,
@@ -51,12 +56,20 @@ from .core import (
 # them, so a subcommand loads only the modules it runs.
 
 
+class _Help(Exception):
+    """-h's usage text, raised where argparse would print it and exit."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse prints usage and exits 2 on usage errors; 2 is reserved here
-    # for failed mathematical verification, so main reports them like any
+    # for failed mathematical verification, so run reports them like any
     # other invalid input.
     def error(self, message: str):
         raise HeronianError(message)
+
+    # -h prints to sys.stdout and exits in argparse; run writes it instead.
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _integer(text: str) -> int:
@@ -183,9 +196,10 @@ def _build_parser() -> _Parser:
     """The argument parser, built once per process.
 
     Building it costs about a millisecond, far more than a parse.  Parsing
-    keeps no state in the parser, so every :func:`main` call shares it.
+    keeps no state in the parser, so every :func:`run` call shares it.
     """
-    common = _Parser(add_help=False)
+    # Every parser is given its prog, or argparse would read it off sys.argv.
+    common = _Parser(prog="amigram", add_help=False)
     common.add_argument("-o", "--output", metavar="FILE", help="write to FILE instead of stdout")
     common.add_argument(
         "--threads",
@@ -250,18 +264,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Characters per write in main; a batch ends at the first line that reaches it.
+# Characters per write in run; a batch ends at the first line that reaches it.
 _BATCH_CHARS = 65536
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def run(argv: Sequence[str], stdout: TextIO, stderr: TextIO) -> int:
+    """One CLI run on the given streams; every ending is the exit code returned."""
     code = 0  # the handler's, once its lines have run out
     output = None  # the -o path, once the flags are parsed
     try:
-        args = _build_parser().parse_args(argv)
-        output = args.output
-        lines = iter(args.handler(args))
-        with nullcontext(sys.stdout) if output is None else open(output, "w", newline="") as out:
+        try:
+            args = _build_parser().parse_args(argv)
+        except _Help as usage:
+            # format_help() ends in the one LF that the writes put back.
+            lines = iter(usage.args[0][:-1].split("\n"))
+        else:
+            output = args.output
+            lines = iter(args.handler(args))
+        with nullcontext(stdout) if output is None else open(output, "w", newline="") as out:
             # Lines go out in batches of about _BATCH_CHARS characters:
             # unbuffered stdout (python -u) makes each write a system call,
             # and a batch bounded by characters stays small however long
@@ -285,18 +305,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except HeronianError as exc:  # a bad flag or a library refusal
         message = exc
     except OSError as exc:
+        if output is None and isinstance(exc, BrokenPipeError):
+            # The reader closed stdout (`| head`): stop quietly.  No
+            # further line is pulled, so the code stays 0 unless the
+            # lines ran out before the write that failed.
+            return code
         message = f"cannot write {'stdout' if output is None else output}: {exc.strerror or exc}"
-        if output is None:
-            # What stdout still buffers goes to devnull, so the exit flush
-            # cannot report the failure a second time.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            if isinstance(exc, BrokenPipeError):
-                # The reader closed stdout (`| head`): stop quietly.  No
-                # further line is pulled, so the code stays 0 unless the
-                # lines ran out before the write that failed.
-                return code
+    stderr.write(f"amigram: error: {message}\n")
+    return 1
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """:func:`run` on the process's streams, and argv from ``sys.argv``
+    when it is None."""
+    try:
+        code = run(sys.argv[1:] if argv is None else argv, sys.stdout, sys.stderr)
     except KeyboardInterrupt:
         # End by SIGINT itself, with no traceback and nothing more written,
         # so the caller sees the usual status (130 in a shell).
@@ -305,5 +328,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         signal.signal(signal.SIGINT, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGINT)
         raise  # only where the signal is blocked
-    sys.stderr.write(f"amigram: error: {message}\n")
-    return 1
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # A failed write stays in stdout's buffer.  Dropping stdout keeps
+        # the interpreter's exit flush from reporting it a second time.
+        sys.stdout = None
+    return code

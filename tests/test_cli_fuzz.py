@@ -1,9 +1,9 @@
 """CLI fuzz gate: argv drawn from a grammar of every subcommand and flag.
 
-Whatever the argv, ``cli.main`` run in-process must end with exit code 0, 1
-or 2 and never with a traceback.  A rejection (exit 1) must write nothing
-to stdout and exactly one ``amigram: error:`` line to stderr; exits 0 and
-2 write nothing to stderr.  Every line a JSON listing writes to stdout is
+Whatever the argv, ``cli.run`` in process must return exit code 0, 1 or 2
+and never raise, ``SystemExit`` included.  A rejection (exit 1) must write
+nothing to stdout and exactly one ``amigram: error:`` line to stderr; exits
+0 and 2 write nothing to stderr.  Every line a JSON listing writes to stdout is
 the text ``json.dumps`` gives for what ``json.loads`` reads from it.
 
 Values are valid, 0, negative, loose text or 5000 digits, and a flag may be
@@ -16,7 +16,6 @@ stay at 60 or less.
 
 import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -144,12 +143,7 @@ def outputs(tmp_path_factory):
 def test_any_argv_exits_cleanly(outputs, argv):
     argv = [token.format(**outputs) for token in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # -h only: main returns 1 for a usage error
-            assert exc.code == 0, argv
-            code = exc.code
+    code = cli.run(argv, stdout, stderr)
     out, err = stdout.getvalue(), stderr.getvalue()
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err

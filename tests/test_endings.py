@@ -1,17 +1,21 @@
 """Every way a CLI run ends, each case run as a real ``python -m amigram``.
 
-A run that is refused ends in ``cli.main``, through one route: a bad flag, a
-library refusal and an output that cannot be written each give exit 1, the
-one stderr line ``amigram: error: <message>`` and nothing on stdout.  Only
-``-h`` leaves by argparse's ``SystemExit(0)``.  An interrupt ends the process
-by SIGINT and writes nothing.  No case prints a traceback.  A reader that
-closes stdout early is covered in ``tests/test_output_path.py``.
+Every ending of a run is ``cli.run``'s return value: a bad flag, a library
+refusal and an output that cannot be written each give exit 1, the one
+stderr line ``amigram: error: <message>`` and nothing on stdout, and ``-h``
+is a report like any other, exit 0.  Nothing leaves by ``SystemExit``.
+``cli.main`` adds only what a process has: an interrupt ends the process by
+SIGINT and writes nothing, and a stdout whose write failed is dropped, so
+the exit flush does not report it again.  No case prints a traceback.  A
+reader that closes stdout early is covered in ``tests/test_output_path.py``.
 """
 
+import io
 import os
 import signal
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -62,7 +66,11 @@ def assert_refused(result):
 
 
 @needs_dev_full
-@pytest.mark.parametrize("argv", ACCEPTED, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "argv",
+    [*ACCEPTED, pytest.param(["check", "-h"], id="help")],  # -h is one more report
+    ids=lambda argv: argv[0],
+)
 def test_stdout_that_cannot_be_written(argv):
     with open(FULL, "w") as full:
         result = subprocess.run(
@@ -71,6 +79,24 @@ def test_stdout_that_cannot_be_written(argv):
         )
     assert result.returncode == 1
     assert result.stderr == "amigram: error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX pipes")
+def test_help_into_a_closed_pipe_ends_quietly():
+    # The usage fits in stdout's buffer, so the closed pipe shows only when
+    # it is flushed.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "amigram", "check", "-h"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0
+    assert result.stderr == b""
 
 
 @needs_dev_full
@@ -127,8 +153,63 @@ def test_main_returns_1_for_a_bad_flag(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_only_help_raises(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check", "-h"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: amigram check")
+@pytest.mark.parametrize("argv", [["-h"], ["check", "-h"], ["render", "--help"]], ids=" ".join)
+def test_help_is_a_report(argv, capsys, monkeypatch):
+    # Exit 0 and the usage argparse would print, with no line added or lost.
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli._build_parser()
+    if len(argv) > 1:
+        parser = parser._subparsers._group_actions[0].choices[argv[0]]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (parser.format_help(), "")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    assert cli.run(argv, stdout, stderr) == 0
+    assert (stdout.getvalue(), stderr.getvalue()) == (parser.format_help(), "")
+
+
+class _NoDescriptor(io.TextIOBase):
+    """A text sink with no file descriptor whose every write fails."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_failed_write_to_a_stdout_with_no_descriptor(capsys):
+    before = set(os.listdir("/proc/self/fd"))
+    with redirect_stdout(_NoDescriptor()):
+        code = cli.main(["check", "--base", "7", "--side", "6", "--area", "42"])
+    after = set(os.listdir("/proc/self/fd"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "amigram: error: cannot write stdout: No space left on device\n"
+    )
+    assert after <= before
+
+
+class _Untouchable:
+    """Stands in for a process stream that no use may reach."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the process's stream was used: .{name}")
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (ACCEPTED[0], 0, '{"amicable": true, ', ""),
+        (REFUSED[0], 1, "", "amigram: error: "),
+        (["check", "-h"], 0, "usage: amigram check", ""),
+    ],
+    ids=["accepted", "refused", "help"],
+)
+def test_run_touches_only_its_streams(monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._build_parser.cache_clear()  # the parser is built under the stand-ins too
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with monkeypatch.context() as process:
+        for name in ("stdout", "stderr", "argv"):
+            process.setattr(sys, name, _Untouchable())
+        assert cli.run(argv, stdout, stderr) == code
+    assert stdout.getvalue().startswith(out) and bool(stdout.getvalue()) == bool(out)
+    assert stderr.getvalue().startswith(err) and stderr.getvalue().count("\n") == bool(err)

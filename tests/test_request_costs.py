@@ -59,10 +59,7 @@ SEQUENCE = [
 
 
 def in_process(argv, capsys):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # SEQUENCE's check -h; a usage error returns 1
-        code = exc.code
+    code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
