@@ -101,7 +101,7 @@ class Verdict:
             if reason is _OK
             else amicable is False and companion is None and type(reason) is Reason
         ):
-            raise ValueError(f"inconsistent verdict: {self!r}")
+            raise HeronianError(f"inconsistent verdict: {self!r}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -15,10 +15,11 @@ same writes, exit 0.  Every ending of a run is run's return value: a bad
 flag, a library refusal and an output that cannot be written each write
 the one line ``amigram: error: <message>`` to the stderr it is given and
 return 1, and a reader that closes stdout ends the run quietly.  run reads
-no sys attribute and no file descriptor (argparse alone sizes -h's layout
-to the terminal).  main is run on sys.stdout and sys.stderr plus what only
-a process has: an interrupt ends the process by SIGINT, and a stdout whose
-write failed is dropped, so the exit flush cannot report it again.
+no sys attribute, no file descriptor and no environment variable: -h is
+laid out 78 columns wide, whatever the terminal.  main is run on
+sys.stdout and sys.stderr plus what only a process has: an interrupt ends
+the process by SIGINT, and a stdout whose write failed is dropped, so the
+exit flush cannot report it again.
 Exit codes:
 0 = computed successfully (a "not amicable" verdict is a success),
 1 = invalid input or an output that cannot be written,
@@ -61,6 +62,12 @@ class _Help(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse sizes help to the terminal; this layout is fixed at the 78
+    # columns it gives an 80-column one.
+    def __init__(self, **kwargs):
+        layout = functools.partial(argparse.HelpFormatter, width=78)
+        super().__init__(formatter_class=layout, **kwargs)
+
     # argparse prints usage and exits 2 on usage errors; 2 is reserved here
     # for failed mathematical verification, so run reports them like any
     # other invalid input.
@@ -277,7 +284,7 @@ def run(argv: Sequence[str], stdout: TextIO, stderr: TextIO) -> int:
             args = _build_parser().parse_args(argv)
         except _Help as usage:
             # format_help() ends in the one LF that the writes put back.
-            lines = iter(usage.args[0][:-1].split("\n"))
+            lines = iter([usage.args[0][:-1]])
         else:
             output = args.output
             lines = iter(args.handler(args))

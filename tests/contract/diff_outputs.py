@@ -8,12 +8,14 @@ worktree by ``git archive <rev> | tar -x -C <dir>``.
 Each line of ``argvs.txt`` runs in both trees as ``python -m amigram``, with
 ``PYTHONPATH=<tree>/src`` and ``COLUMNS=80``, in a temporary directory of
 its tree's own, where ``{file}``, ``{missing}`` and ``{dir}`` are
-``out.txt``, ``missing`` and ``.``.  Bytecode goes under a temporary
-``PYTHONPYCACHEPREFIX``, so nothing is written into either tree.  A run is
-its exit code, its stderr, the sha256 of its stdout and the contents of its
-``{file}`` output.  Every argv whose runs differ is printed, and the exit
-status is 1 unless FILE names each of them, one argv a line in
-``argvs.txt``'s form.
+``out.txt``, ``missing`` and ``.``.  The CLI lays out ``-h`` 78 columns
+wide whatever ``COLUMNS`` says, but an older tree on either side sizes it
+to the terminal, and ``COLUMNS=80`` gives that tree the same 78 columns.
+Bytecode goes under a temporary ``PYTHONPYCACHEPREFIX``, so nothing is
+written into either tree.  A run is its exit code, its stderr, the sha256
+of its stdout and the contents of its ``{file}`` output.  Every argv whose
+runs differ is printed, and the exit status is 1 unless FILE names each of
+them, one argv a line in ``argvs.txt``'s form.
 
 Then the two trees' public APIs, each rendered under its tree's ``src`` by
 ``tests/test_api_surface.py`` beside this script, are printed as a unified

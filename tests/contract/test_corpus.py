@@ -28,8 +28,7 @@ ARGVS = read_argvs()
 
 
 @pytest.mark.parametrize("argv", ARGVS, ids=show)
-def test_argv_ends_as_an_exit_code(argv, tmp_path, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # -h as diff_outputs.py lays it out
+def test_argv_ends_as_an_exit_code(argv, tmp_path):
     places = {"file": str(tmp_path / "out.txt"), "missing": str(tmp_path / "missing"),
               "dir": str(tmp_path)}
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -44,6 +43,27 @@ def test_argv_ends_as_an_exit_code(argv, tmp_path, monkeypatch):
         assert err == ""
     if show(argv) in GOLDENS:
         assert (code, out) == (0, (GOLDEN / GOLDENS[show(argv)]).read_text())
+
+
+HELPS = [argv for argv in ARGVS if {"-h", "--help"} & set(argv)]
+
+
+@pytest.mark.parametrize("argv", HELPS, ids=show)
+def test_help_ignores_the_terminal(argv, monkeypatch):
+    # One layout under a narrow, a wide and no terminal width.
+    answers = []
+    for columns in ("40", "200", None):
+        with monkeypatch.context() as env:
+            if columns is None:
+                env.delenv("COLUMNS", raising=False)
+                env.delenv("LINES", raising=False)
+            else:
+                env.setenv("COLUMNS", columns)
+            cli._build_parser.cache_clear()  # built under this environment too
+            stdout, stderr = io.StringIO(), io.StringIO()
+            answers.append((cli.run(argv, stdout, stderr), stdout.getvalue(), stderr.getvalue()))
+    assert answers[0] == answers[1] == answers[2]
+    assert answers[0][0] == 0 and answers[0][2] == ""
 
 
 def test_corpus_holds_every_golden_and_every_help():

@@ -154,9 +154,8 @@ def test_main_returns_1_for_a_bad_flag(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["check", "-h"], ["render", "--help"]], ids=" ".join)
-def test_help_is_a_report(argv, capsys, monkeypatch):
+def test_help_is_a_report(argv, capsys):
     # Exit 0 and the usage argparse would print, with no line added or lost.
-    monkeypatch.setenv("COLUMNS", "80")
     parser = cli._build_parser()
     if len(argv) > 1:
         parser = parser._subparsers._group_actions[0].choices[argv[0]]
@@ -204,11 +203,14 @@ class _Untouchable:
     ids=["accepted", "refused", "help"],
 )
 def test_run_touches_only_its_streams(monkeypatch, argv, code, out, err):
-    monkeypatch.setenv("COLUMNS", "80")
+    # With no COLUMNS or LINES to read, argparse would ask sys.__stdout__
+    # for the terminal's size.
+    monkeypatch.delenv("COLUMNS", raising=False)
+    monkeypatch.delenv("LINES", raising=False)
     cli._build_parser.cache_clear()  # the parser is built under the stand-ins too
     stdout, stderr = io.StringIO(), io.StringIO()
     with monkeypatch.context() as process:
-        for name in ("stdout", "stderr", "argv"):
+        for name in ("stdout", "stderr", "__stdout__", "__stderr__", "argv"):
             process.setattr(sys, name, _Untouchable())
         assert cli.run(argv, stdout, stderr) == code
     assert stdout.getvalue().startswith(out) and bool(stdout.getvalue()) == bool(out)

@@ -71,8 +71,7 @@ def in_subprocess(argv):
     return result.returncode, result.stdout, result.stderr
 
 
-def test_repeated_main_calls_answer_as_fresh_processes(monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")  # the same -h layout in both runs
+def test_repeated_main_calls_answer_as_fresh_processes(capsys):
     answers = [in_process(argv, capsys) for argv, _ in SEQUENCE]
     assert cli._build_parser() is cli._build_parser()
     for (argv, golden), answer in zip(SEQUENCE, answers):

@@ -186,7 +186,7 @@ INCONSISTENT = [
 def test_inconsistent_verdicts_keep_their_message(args, message):
     with pytest.raises(ValueError) as info:
         Verdict(*args)
-    assert type(info.value) is ValueError
+    assert type(info.value) is HeronianError
     assert str(info.value) == message
 
 
@@ -396,7 +396,7 @@ def test_shapes_and_verdicts_print_past_the_digit_limit(digit_limit, digits):
     assert repr(shape) == text
     with pytest.raises(ValueError) as info:
         Verdict(False, Reason.OK, shape)
-    assert type(info.value) is ValueError
+    assert type(info.value) is HeronianError
     assert str(info.value) == (
         "inconsistent verdict: Verdict(amicable=False, "
         f"reason=<Reason.OK: 'OK'>, companion={text})"
@@ -416,7 +416,7 @@ def test_verdict_refusal_prints_an_int_field_past_the_digit_limit(digit_limit, d
     shown[position] = "1" + "0" * (digits - 1)
     with pytest.raises(ValueError) as info:
         Verdict(*args)
-    assert type(info.value) is ValueError
+    assert type(info.value) is HeronianError
     assert str(info.value) == (
         f"inconsistent verdict: Verdict(amicable={shown[0]}, "
         f"reason={shown[1]}, companion={shown[2]})"
@@ -545,7 +545,7 @@ def test_value_types_print_a_five_thousand_digit_int(digit_limit):
 def test_verdict_refuses_a_wrong_typed_reason_or_companion(args, shown):
     with pytest.raises(ValueError) as info:
         Verdict(*args)
-    assert type(info.value) is ValueError
+    assert type(info.value) is HeronianError
     assert str(info.value) == f"inconsistent verdict: Verdict({shown})"
 
 
@@ -756,15 +756,13 @@ FOREIGN = ["1", 1.5, True, 1, None, (1, 1)]
 def test_exported_value_types_refuse_a_wrong_typed_field(digit_limit, cls):
     value = sample_of(cls)
     names = field_names(cls)
-    # A verdict's refusal is the ValueError "inconsistent verdict: ...".
-    error = ValueError if cls is Verdict else HeronianError
     for name in names:
         for wrong in FOREIGN:
             if type(wrong) is type(getattr(value, name)):
                 continue
             args = {field: getattr(value, field) for field in names}
             args[name] = wrong
-            with pytest.raises(error):
+            with pytest.raises(HeronianError):
                 cls(**args)
 
 
