@@ -22,6 +22,7 @@ in O(1) arithmetic, :func:`count_amicable` is the list of them, and the
 
 The module applies no amicability rule of its own: a row's flags are
 :func:`amicability.is_amicable` and :func:`amicability.is_self_amicable`,
+a witness leaves only once :func:`amicability.is_amicable` refuses it,
 and the counted census reads its threshold off
 :func:`amicability.least_amicable_area`.
 
@@ -312,33 +313,36 @@ def non_amicable_witness_area(area: int) -> Parallelogram:
     """A valid Heronian parallelogram with the given area that is not
     amicable.
 
-    Odd areas fail on parity alone, so the flat strip (area, 1, area)
-    works.  For even areas the base is the area and the side is
-    max(1, area^2//32 - area + 2), which makes the perimeter
-    2*(area + side) too large for the quadratic bound: area^2 <
-    16*perimeter.  That side is not the least that fails: with this base,
-    max(1, area^2//32 - area + 1) already does (area 42: side 14, where
-    the witness has side 15), but the witness is kept as it has always
-    been.  The failure is re-checked here rather than trusted.
+    The construction picks the shape and :func:`is_amicable` decides it.
+    The base is the area.  An odd area takes side 1, the flat strip
+    (area, 1, area); an even one takes side max(1, area^2//32 - area + 2),
+    which makes the perimeter 2*(area + side) too large for the quadratic
+    bound: area^2 < 16*perimeter.  That side is not the least that fails:
+    with this base, max(1, area^2//32 - area + 1) already does (area 42:
+    side 14, where the witness has side 15), but the witness is kept as it
+    has always been.  A shape the rule calls amicable raises
+    ``AssertionError``.
     """
     require_positive_area(area)
-    if area % 2:
-        return Parallelogram(area, 1, area)
-    side = max(1, area * area // 32 - area + 2)
-    shape = Parallelogram(area, side, area)
-    if is_amicable(shape):
-        raise AssertionError(f"witness for area {int_to_decimal(area)} is amicable")
-    return shape
+    side = 1 if area % 2 else max(1, area * area // 32 - area + 2)
+    return _not_amicable(Parallelogram(area, side, area))
 
 
 def non_amicable_witness_perimeter(perimeter: int) -> Parallelogram:
     """A valid non-amicable Heronian parallelogram with the given perimeter.
 
-    (1, perimeter/2 - 1, 1) has odd area, which already rules amicability
-    out.
+    The construction picks (1, perimeter/2 - 1, 1) and :func:`is_amicable`
+    decides it, as for :func:`non_amicable_witness_area`.
     """
     require_even_perimeter(perimeter)
-    return Parallelogram(1, perimeter // 2 - 1, 1)
+    return _not_amicable(Parallelogram(1, perimeter // 2 - 1, 1))
+
+
+def _not_amicable(shape: Parallelogram) -> Parallelogram:
+    # Every witness leaves through the rule, never on its construction alone.
+    if is_amicable(shape):
+        raise AssertionError(f"witness {shape!r} is amicable")
+    return shape
 
 
 def amicable_rectangle_pairs(max_side: int = 1000) -> list[RectanglePair]:

@@ -195,7 +195,8 @@ def _cmd_render(args) -> Iterable[str]:
         include_companion=args.companion,
         **{name: value for name, value in canvas.items() if value is not None},
     )
-    return render_svg(spec).splitlines()
+    # render_svg ends in the one LF that run's writes put back.
+    return [render_svg(spec)[:-1]]
 
 
 @functools.cache

@@ -21,8 +21,8 @@ builds every entry from two doubling passes and one more doubling step.
 seeds F(n), L(n) and F(2n-2) with their successors once per range and
 steps them by the defining recurrences, so from the second index of a
 range on, no check reuses a value the entry was built from.
-:func:`fib_iterative` and :func:`lucas_iterative` keep the n-step loops as
-their test oracles.
+:func:`fib_iterative` and :func:`lucas_iterative` keep the n-step loop,
+one loop from two seeds, as their test oracles.
 """
 
 from __future__ import annotations
@@ -95,17 +95,17 @@ def lucas(n: int) -> int:
 
 def fib_iterative(n: int) -> int:
     """F(n) by n additions; the oracle for :func:`fib`."""
-    _require_index(n)
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _added_up(n, 0, 1)
 
 
 def lucas_iterative(n: int) -> int:
     """L(n) by n additions; the oracle for :func:`lucas`."""
+    return _added_up(n, 2, 1)
+
+
+def _added_up(n: int, a: int, b: int) -> int:
+    # Checks n, then steps x(k+2) = x(k+1) + x(k) from x(0) = a, x(1) = b to x(n).
     _require_index(n)
-    a, b = 2, 1
     for _ in range(n):
         a, b = b, a + b
     return a

@@ -8,6 +8,7 @@ runs the same corpus as real processes in two trees, and
 """
 
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,13 @@ GOLDENS = {
 ARGVS = read_argvs()
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=show)
+def short_id(argv):
+    """``show(argv)`` with each token past 40 characters cut to its first
+    three and its length, so an at-size argv keeps a short test id."""
+    return show([token if len(token) <= 40 else f"{token[:3]}...{len(token)}" for token in argv])
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=short_id)
 def test_argv_ends_as_an_exit_code(argv, tmp_path):
     places = {"file": str(tmp_path / "out.txt"), "missing": str(tmp_path / "missing"),
               "dir": str(tmp_path)}
@@ -73,3 +80,26 @@ def test_corpus_holds_every_golden_and_every_help():
     subcommands = cli._build_parser()._subparsers._group_actions[0].choices
     for name in [*subcommands, ""]:
         assert {f"{name} -h".strip(), f"{name} --help".strip()} & lines, name
+
+
+# The argvs whose integers run past CPython's default 4300-digit limit.
+AT_SIZE = [argv for argv in ARGVS if any(len(token) > 4300 for token in argv)]
+
+
+def test_at_size_argvs_read_the_same_at_every_digit_limit():
+    # With the limit lifted, plain int and str convert; at 640, the lowest
+    # limit CPython takes, core's chunked routes convert every integer.
+    assert len(AT_SIZE) == 4
+    limit = sys.get_int_max_str_digits()
+    answers = []
+    try:
+        for digits in (0, 640):
+            sys.set_int_max_str_digits(digits)
+            for argv in AT_SIZE:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                code = cli.run(argv, stdout, stderr)
+                answers.append((code, stdout.getvalue(), stderr.getvalue()))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert answers[:4] == answers[4:]
+    assert [(code, err) for code, _, err in answers] == [(0, "")] * 8

@@ -2,6 +2,8 @@
 checked entry, every other route answers from the rule, and the brute-force
 oracle stays independent of both."""
 
+import io
+import json
 import sys
 from math import isqrt
 
@@ -13,6 +15,7 @@ import amigram.amicability as amicability
 import amigram.census as census
 import amigram.cli as cli
 from amigram import (
+    CensusRow,
     HeronianError,
     InvalidPerimeter,
     NonIntegerDimension,
@@ -30,14 +33,18 @@ from amigram import (
     companion_bases_exhaustive,
     companion_exists_bruteforce,
     companion_from_invariants,
+    count_amicable_exhaustive,
     decide,
     enumerate_by_area,
+    family_rows,
     int_to_decimal,
     is_amicable,
     is_amicable_invariants,
     non_amicable_witness_area,
+    non_amicable_witness_perimeter,
 )
 from amigram.amicability import companion_scan
+from amigram.census import CSV_HEADER
 
 
 def written_out_reason(area, perimeter):
@@ -174,6 +181,41 @@ def test_every_closed_form_route_answers_from_the_rule(monkeypatch):
         (area, 26) for area in range(1, cells + 1) if companion_scan(area, 26)
     ]
     assert disagreements
+    # The exhaustive census, a family row's two amicability checks and a
+    # census row's printed flag each ask the rule.
+    assert not any(row.amicable for row in from_rule(count_amicable_exhaustive, 26))
+    del calls[:]
+    (row,) = family_rows(4, 4)
+    assert calls == [(42, 26), (26, 42)]
+    assert row.results == (True, False, False, True, True)
+    assert from_rule(CensusRow.to_csv, census_row(shape)).endswith(",false,false")
+    assert '"amicable": false' in from_rule(CensusRow.to_json_text, census_row(shape))
+
+    def cli_lines(*argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        assert (cli.run(argv, stdout, stderr), stderr.getvalue()) == (0, "")
+        return stdout.getvalue().splitlines()
+
+    for given in (["--area", "42", "--perimeter", "26"], ["--base", "7", "--side", "6"]):
+        (line,) = from_rule(cli_lines, "check", *given, "--area", "42")
+        assert json.loads(line)["reason"] == Reason.ODD_AREA.value
+    amicable_rows = from_rule(cli_lines, "enumerate", "--perimeter", "26", "--amicable-only")
+    assert amicable_rows == [CSV_HEADER]
+    # Each witness leaves through the rule, asked about the shape it returns;
+    # under a rule that passes every shape, no witness is left to return.
+    witnesses = [
+        (non_amicable_witness_area, 43),
+        (non_amicable_witness_area, 42),
+        (non_amicable_witness_perimeter, 26),
+    ]
+    for witness, value in witnesses:
+        del calls[:]
+        made = witness(value)
+        assert calls == [(made.area, made.perimeter)], (witness, value)
+    patch_every_binding(monkeypatch, "closed_form", lambda area, perimeter: Reason.OK)
+    for witness, value in witnesses:
+        with pytest.raises(AssertionError, match="is amicable"):
+            witness(value)
 
 
 @st.composite
