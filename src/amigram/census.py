@@ -321,7 +321,8 @@ def non_amicable_witness_area(area: int) -> Parallelogram:
     with this base, max(1, area^2//32 - area + 1) already does (area 42:
     side 14, where the witness has side 15), but the witness is kept as it
     has always been.  A shape the rule calls amicable raises
-    ``AssertionError``.
+    ``AssertionError``, which ``amigram witness`` reports as exit 2 and the
+    one line ``amigram: error: <message>``.
     """
     require_positive_area(area)
     side = 1 if area % 2 else max(1, area * area // 32 - area + 2)
@@ -332,7 +333,8 @@ def non_amicable_witness_perimeter(perimeter: int) -> Parallelogram:
     """A valid non-amicable Heronian parallelogram with the given perimeter.
 
     The construction picks (1, perimeter/2 - 1, 1) and :func:`is_amicable`
-    decides it, as for :func:`non_amicable_witness_area`.
+    decides it, as for :func:`non_amicable_witness_area`: a shape the rule
+    calls amicable raises ``AssertionError``, exit 2 in ``amigram witness``.
     """
     require_even_perimeter(perimeter)
     return _not_amicable(Parallelogram(1, perimeter // 2 - 1, 1))

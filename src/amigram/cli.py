@@ -11,19 +11,23 @@ returns only its lines.  run alone writes them, to the stdout it is given
 unless -o is given, and takes the exit code after the last line: the
 return value of a handler's generator, where None, or lines that are not a
 generator, count as 0.  -h is one more report: its usage goes through the
-same writes, exit 0.  Every ending of a run is run's return value: a bad
-flag, a library refusal and an output that cannot be written each write
-the one line ``amigram: error: <message>`` to the stderr it is given and
-return 1, and a reader that closes stdout ends the run quietly.  run reads
-no sys attribute, no file descriptor and no environment variable: -h is
-laid out 78 columns wide, whatever the terminal.  main is run on
-sys.stdout and sys.stderr plus what only a process has: an interrupt ends
-the process by SIGINT, and a stdout whose write failed is dropped, so the
-exit flush cannot report it again.
+same writes, exit 0.  Every ending of a run is run's return value, and no
+run ends in a traceback: a bad flag, a library refusal and an output that
+cannot be written each write the one line ``amigram: error: <message>`` to
+the stderr it is given and return 1; a witness that fails its own check
+(the library's ``AssertionError``) writes the same one line and returns 2,
+with nothing on stdout and no -o file; and a reader that closes stdout ends
+the run quietly.  run reads no sys attribute, no file descriptor and no
+environment variable: -h is laid out 78 columns wide, whatever the
+terminal.  main is run on sys.stdout and sys.stderr plus what only a
+process has: an interrupt ends the process by SIGINT, and a stdout whose
+write failed is dropped, so the exit flush cannot report it again.
 Exit codes:
 0 = computed successfully (a "not amicable" verdict is a success),
 1 = invalid input or an output that cannot be written,
-2 = a mathematical cross-check failed (a bug).
+2 = a mathematical cross-check failed (a bug): a verify disagreement or a
+    failed family row, after the report, or a witness the rule calls
+    amicable, as the one stderr line.
 
 Standard output is a pure function of the arguments: fixed field order,
 LF line endings, no timestamps or locale-dependent formatting.  A JSON line
@@ -310,7 +314,9 @@ def run(argv: Sequence[str], stdout: TextIO, stderr: TextIO) -> int:
                 out.write("\n".join(batch) + "\n")
             out.flush()  # a failed write shows here, not at exit
         return code
-    except HeronianError as exc:  # a bad flag or a library refusal
+    except (HeronianError, AssertionError) as exc:
+        # A bad flag or a library refusal; or an AssertionError, a witness
+        # that failed its own check, whose exit code is 2.
         message = exc
     except OSError as exc:
         if output is None and isinstance(exc, BrokenPipeError):
@@ -320,7 +326,7 @@ def run(argv: Sequence[str], stdout: TextIO, stderr: TextIO) -> int:
             return code
         message = f"cannot write {'stdout' if output is None else output}: {exc.strerror or exc}"
     stderr.write(f"amigram: error: {message}\n")
-    return 1
+    return 2 if isinstance(message, AssertionError) else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -2,9 +2,12 @@
 
 Each run returns 0, 1 or 2 and raises nothing.  Exit 1 writes nothing to
 stdout and exactly one ``amigram: error:`` line to stderr; exits 0 and 2
-write nothing to stderr.  A golden argv writes its golden.  ``diff_outputs.py``
-runs the same corpus as real processes in two trees, and
-``tests/test_request_costs.py`` holds in-process runs to fresh processes.
+write nothing to stderr.  A golden argv writes its golden.  The same holds
+under a wrong rule, whatever constant answer ``closed_form`` gives, with
+one more ending: a witness that fails its own check is exit 2 as one
+stderr line, nothing on stdout.  ``diff_outputs.py`` runs the same corpus
+as real processes in two trees, and ``tests/test_request_costs.py`` holds
+in-process runs to fresh processes.
 """
 
 import io
@@ -14,7 +17,9 @@ from pathlib import Path
 import pytest
 from diff_outputs import fill, read_argvs, show
 
+import amigram.amicability as amicability
 import amigram.cli as cli
+from amigram.amicability import Reason
 
 GOLDEN = Path(__file__).parent.parent / "golden"
 GOLDENS = {
@@ -34,22 +39,55 @@ def short_id(argv):
     return show([token if len(token) <= 40 else f"{token[:3]}...{len(token)}" for token in argv])
 
 
+def places_in(tmp_path):
+    """The corpus placeholders, as paths under ``tmp_path``."""
+    return {"file": str(tmp_path / "out.txt"), "missing": str(tmp_path / "missing"),
+            "dir": str(tmp_path)}
+
+
+def one_error_line(out, err):
+    """Nothing on stdout and exactly one ``amigram: error:`` line on stderr."""
+    return (
+        out == ""
+        and err.startswith("amigram: error: ")
+        and err.count("\n") == 1
+        and err.endswith("\n")
+    )
+
+
 @pytest.mark.parametrize("argv", ARGVS, ids=short_id)
 def test_argv_ends_as_an_exit_code(argv, tmp_path):
-    places = {"file": str(tmp_path / "out.txt"), "missing": str(tmp_path / "missing"),
-              "dir": str(tmp_path)}
     stdout, stderr = io.StringIO(), io.StringIO()
-    code = cli.run(fill(argv, places), stdout, stderr)
+    code = cli.run(fill(argv, places_in(tmp_path)), stdout, stderr)
     out, err = stdout.getvalue(), stderr.getvalue()
     assert code in (0, 1, 2)
     if code == 1:
-        assert out == ""
-        assert err.startswith("amigram: error: ")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert one_error_line(out, err)
     else:
         assert err == ""
     if show(argv) in GOLDENS:
         assert (code, out) == (0, (GOLDEN / GOLDENS[show(argv)]).read_text())
+
+
+@pytest.mark.parametrize("reason", list(Reason), ids=lambda reason: reason.name)
+def test_every_argv_ends_as_an_exit_code_under_a_wrong_rule(reason, monkeypatch, tmp_path):
+    # Only amicability binds the rule (a CI gate holds this), so this one
+    # patch reaches every route.  Under OK each witness fails its own check.
+    monkeypatch.setattr(amicability, "closed_form", lambda area, perimeter: reason)
+    for argv in ARGVS:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        code = cli.run(fill(argv, places_in(tmp_path)), stdout, stderr)
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (0, 1, 2), argv
+        if code == 0:
+            assert err == "", argv
+        elif code == 1:
+            assert one_error_line(out, err), argv
+        elif err:
+            # A failed self-check: no report, only the one line.
+            assert one_error_line(out, err) and argv[0] == "witness", argv
+        else:
+            assert out or "-o" in argv, argv  # the report
 
 
 HELPS = [argv for argv in ARGVS if {"-h", "--help"} & set(argv)]

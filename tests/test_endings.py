@@ -3,7 +3,9 @@
 Every ending of a run is ``cli.run``'s return value: a bad flag, a library
 refusal and an output that cannot be written each give exit 1, the one
 stderr line ``amigram: error: <message>`` and nothing on stdout, and ``-h``
-is a report like any other, exit 0.  Nothing leaves by ``SystemExit``.
+is a report like any other, exit 0.  A witness that fails its own check,
+under a rule patched to call every shape amicable, gives the same one line
+with exit 2.  Nothing leaves by ``SystemExit``.
 ``cli.main`` adds only what a process has: an interrupt ends the process by
 SIGINT and writes nothing, and a stdout whose write failed is dropped, so
 the exit flush does not report it again.  No case prints a traceback.  A
@@ -128,6 +130,23 @@ def test_bad_flag(argv):
 @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
 def test_library_refusal(argv):
     assert_refused(run(argv))
+
+
+def test_a_witness_that_fails_its_own_check():
+    # The library's AssertionError is the one ending of exit 2 that has no report.
+    code = (
+        "import sys\n"
+        "import amigram.amicability as amicability\n"
+        "import amigram.cli as cli\n"
+        "amicability.closed_form = lambda area, perimeter: amicability.Reason.OK\n"
+        "sys.exit(cli.main(['witness', '--area', '43']))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "amigram: error: witness Parallelogram(base=43, side=1, area=43) is amicable\n"
+    )
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX signals")

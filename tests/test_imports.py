@@ -3,9 +3,9 @@
 ``import amigram`` loads no submodule: each exported name comes from its
 home module on first use.  A CLI subcommand loads only the modules it runs,
 so a single request does not pay to import census, families and render,
-and none of ``check``, ``verify`` and ``family`` loads ``fractions``, which
-only a shape's ``height`` and ``from_base_height_side`` need.  The lazy
-names behave as the eager imports did.
+and no subcommand loads ``fractions``, which only a shape's ``height`` and
+``from_base_height_side`` need.  The lazy names behave as the eager imports
+did.
 """
 
 import ast
@@ -40,8 +40,16 @@ def loaded_after(code):
         (["check", "--base", "7", "--side", "6", "--area", "42"], BASE),
         (["verify", "--max-perimeter", "8"], BASE),
         (["family", "--from", "4", "--to", "4"], BASE | {"amigram.families"}),
+        (["enumerate", "--perimeter", "8"], BASE | {"amigram.census"}),
+        (["census", "--max-perimeter", "10"], BASE | {"amigram.census"}),
+        (["rectangles"], BASE | {"amigram.census"}),
+        (["witness", "--area", "10"], BASE | {"amigram.census"}),
+        (
+            ["render", "--base", "7", "--side", "6", "--area", "42", "--companion"],
+            BASE | {"amigram.render"},
+        ),
     ],
-    ids=["check", "verify", "family"],
+    ids=["check", "verify", "family", "enumerate", "census", "rectangles", "witness", "render"],
 )
 def test_a_subcommand_loads_only_the_modules_it_runs(argv, expected):
     code = (
