@@ -13,7 +13,7 @@ All arithmetic in this module is exact: Python integers and
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, fields
+import sys
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -125,24 +125,27 @@ def fields_repr(self) -> str:
     the int/str digit limit too.
 
     The generated repr's ``!r`` fails on an int of more digits than the
-    limit; this one prints each field through :func:`value_repr`.
-    :func:`value_type` sets it on every dataclass value type; a
-    ``NamedTuple`` assigns it as ``__repr__`` in its class body.
+    limit; this one prints each field through :func:`value_repr`.  The
+    field names are the class's ``__match_args__``, which a value type and
+    a ``NamedTuple`` both have.  :func:`value_type` sets it on every value
+    type; a ``NamedTuple`` assigns it as ``__repr__`` in its class body.
     """
-    names = self._fields if isinstance(self, tuple) else [f.name for f in fields(self)]
-    values = ", ".join(f"{name}={value_repr(getattr(self, name))}" for name in names)
+    values = ", ".join(
+        f"{name}={value_repr(getattr(self, name))}" for name in self.__match_args__
+    )
     return f"{type(self).__qualname__}({values})"
 
 
 def slot_setters(cls: type) -> tuple:
     """The ``__set__`` of each field's slot descriptor, in field order.
 
-    For the one written-out constructor, ``Parallelogram``'s, and for
-    :func:`prechecked`: ``setter(self, value)`` stores a validated field
-    past the frozen ``__setattr__``, as ``object.__setattr__`` would,
-    without looking the descriptor up by name on each call.
+    For the constructors :func:`value_type` writes, for the one written out
+    by hand, ``Parallelogram``'s, and for :func:`prechecked`:
+    ``setter(self, value)`` stores a validated field past the frozen
+    ``__setattr__``, as ``object.__setattr__`` would, without looking the
+    descriptor up by name on each call.
     """
-    return tuple(cls.__dict__[field.name].__set__ for field in fields(cls))
+    return tuple(cls.__dict__[name].__set__ for name in cls.__match_args__)
 
 
 def prechecked(cls: type):
@@ -182,34 +185,156 @@ def prechecked(cls: type):
     return build
 
 
+# dataclasses, with the inspect it loads, is about a third of the CLI's
+# import time, so only the refusals and the dataclass API below import
+# from it, when first used.
+
+
 def _refuse_assignment(self, name: str, value: object) -> None:
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _refuse_deletion(self, name: str) -> None:
+    from dataclasses import FrozenInstanceError
+
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def value_type(cls: type) -> type:
-    """Declare an exact value type: ``@dataclass(frozen=True, slots=True)``
-    with :func:`fields_repr` as its repr, refusing every assignment.
+def _field_values(self) -> list:
+    # A slots dataclass's __getstate__: the field values, in field order.
+    return [getattr(self, name) for name in self.__match_args__]
 
-    ``dataclass`` keeps the repr set here, and a class-body ``__init__``,
-    through the slots rebuild.  The frozen ``__setattr__`` and
-    ``__delattr__`` it generates still refer to the class from before that
-    rebuild, so they are replaced by two that refuse any name with the
-    ``FrozenInstanceError`` and text a frozen dataclass without slots gives.
+
+def _store_fields(self, state: list) -> None:
+    # A slots dataclass's __setstate__, so the pickles a dataclass wrote load.
+    for name, value in zip(self.__match_args__, state):
+        object.__setattr__(self, name, value)
+
+
+def _replace(self, /, **changes):
+    # copy.replace's hook, which a dataclass has from Python 3.13 on: the
+    # constructor, so its checks, on the fields with ``changes`` applied.
+    for name in self.__match_args__:
+        changes.setdefault(name, getattr(self, name))
+    return type(self)(**changes)
+
+
+class _DataclassApi:
+    """A value type's ``__dataclass_fields__`` or ``__dataclass_params__``,
+    made on its first read.
+
+    That read imports ``dataclasses`` and sets both attributes of the plain
+    frozen slots dataclass with the same fields on the value type, in place
+    of both descriptors, so later reads are plain class attributes and
+    ``is_dataclass``, ``fields``, ``replace``, ``astuple`` and ``asdict``
+    work as on that dataclass.  A read that races the first sets equal
+    values again.
+    """
+
+    def __init__(self, fields: list) -> None:
+        self.fields = fields  # make_dataclass's (name, type[, default]) items
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: object, owner: type):
+        from dataclasses import make_dataclass
+
+        plain = make_dataclass(owner.__name__, self.fields, frozen=True, slots=True)
+        for name in ("__dataclass_fields__", "__dataclass_params__"):
+            setattr(owner, name, getattr(plain, name))
+        return owner.__dict__[self.name]
+
+
+def value_type(cls: type) -> type:
+    """Declare an exact value type: a frozen slots dataclass, built here.
+
+    The class's annotations, in order, are its fields, and a class
+    attribute of a field's name is its default.  The class is built again
+    with ``__slots__`` and ``__match_args__`` of the field names and these:
+    - ``__init__``, taking the fields with their annotations and defaults,
+      storing each through :func:`slot_setters` and then calling
+      ``__post_init__`` if the class has one; a class-body ``__init__`` is
+      kept instead;
+    - ``__eq__`` and ``__hash__`` over the field tuple, written out per
+      class as a dataclass's are;
+    - :func:`fields_repr` as the repr, and two refusals as ``__setattr__``
+      and ``__delattr__``, which raise ``FrozenInstanceError`` with the
+      text a plain frozen dataclass gives, for any name;
+    - a slots dataclass's ``__getstate__`` and ``__setstate__``, so pickles
+      keep their form, and on Python 3.13 ``__replace__``;
+    - ``__dataclass_fields__`` and ``__dataclass_params__``, which import
+      ``dataclasses`` on first read (:class:`_DataclassApi`).
+
+    Nothing here imports ``dataclasses``, and so ``inspect``: a run that
+    asks for neither the dataclass API nor a refusal loads neither.
 
     A value type checks its fields in ``__post_init__``.  Only a type
-    whose checks are on a measured hot path writes its ``__init__`` out,
-    storing through :func:`slot_setters`; a route whose fields are valid by
-    construction builds through :func:`prechecked`.
+    whose checks are on a measured hot path writes its own ``__init__``,
+    checking before it stores through :func:`slot_setters`; a route whose
+    fields are valid by construction builds through :func:`prechecked`.
     """
-    cls.__repr__ = fields_repr
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__setattr__ = _refuse_assignment
-    cls.__delattr__ = _refuse_deletion
-    return cls
+    annotations = cls.__annotations__
+    names = tuple(annotations)
+    body = cls.__dict__
+    defaults = {name: body[name] for name in names if name in body}
+    fields = [
+        (name, annotations[name], defaults[name]) if name in defaults else (name, annotations[name])
+        for name in names
+    ]
+    namespace = {
+        key: value
+        for key, value in body.items()
+        if key not in names and key not in ("__dict__", "__weakref__")
+    }
+    namespace.update(
+        __qualname__=cls.__qualname__,
+        __slots__=names,
+        __match_args__=names,
+        __repr__=fields_repr,
+        __setattr__=_refuse_assignment,
+        __delattr__=_refuse_deletion,
+        __getstate__=_field_values,
+        __setstate__=_store_fields,
+        __dataclass_fields__=_DataclassApi(fields),
+        __dataclass_params__=_DataclassApi(fields),
+    )
+    if sys.version_info >= (3, 13):
+        namespace["__replace__"] = _replace
+
+    def fields_of(owner: str) -> str:
+        return "".join(f"{owner}.{name}," for name in names)
+
+    source = [
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({fields_of('self')}) == ({fields_of('other')})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({fields_of('self')}))",
+    ]
+    if "__init__" not in body:
+        params = ", ".join(f"{name}=_default_{name}" if name in defaults else name for name in names)
+        source.append(f"def __init__(self, {params}):")
+        source += [f"    _set_{name}(self, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            source.append("    self.__post_init__()")
+    # The methods' globals: the defaults, and the slot setters, which are
+    # set once the class exists.
+    scope = {"__name__": cls.__module__}
+    scope.update((f"_default_{name}", value) for name, value in defaults.items())
+    exec("\n".join(source), scope)
+    for method in ("__eq__", "__hash__", "__init__"):
+        if method in scope:
+            namespace[method] = scope[method]
+            scope[method].__qualname__ = f"{cls.__qualname__}.{method}"
+    if "__init__" in scope:
+        scope["__init__"].__annotations__ = {**annotations, "return": None}
+    value = type(cls)(cls.__name__, cls.__bases__, namespace)
+    scope.update(zip([f"_set_{name}" for name in names], slot_setters(value)))
+    return value
 
 
 class _KeyFields(NamedTuple):

@@ -80,10 +80,10 @@ def model_vertices(shape: Parallelogram) -> list[tuple[float, float]]:
 
 
 def _caption(shape: Parallelogram) -> str:
-    return (
-        f"base={shape.base} side={shape.side} "
-        f"area={shape.area} perimeter={shape.perimeter}"
+    base, side, area, perimeter = map(
+        int_to_decimal, (shape.base, shape.side, shape.area, shape.perimeter)
     )
+    return f"base={base} side={side} area={area} perimeter={perimeter}"
 
 
 def _fmt(value: float) -> str:

@@ -4,8 +4,10 @@
 home module on first use.  A CLI subcommand loads only the modules it runs,
 so a single request does not pay to import census, families and render,
 and no subcommand loads ``fractions``, which only a shape's ``height`` and
-``from_base_height_side`` need.  The lazy names behave as the eager imports
-did.
+``from_base_height_side`` need.  Nor does any subcommand, or a value type
+that is built, compared, hashed, printed and pickled, load ``dataclasses``
+or ``inspect``: a value type's dataclass API imports them on first use.
+The lazy names behave as the eager imports did.
 """
 
 import ast
@@ -18,14 +20,15 @@ import pytest
 import amigram
 
 BASE = {"amigram", "amigram.amicability", "amigram.cli", "amigram.core"}
+LAZY = ("fractions", "dataclasses", "inspect")
 
 
 def loaded_after(code):
-    """The amigram modules, and ``fractions`` if loaded, that a fresh
-    interpreter holds after running ``code``."""
+    """The amigram modules, and those of ``LAZY`` that are loaded, that a
+    fresh interpreter holds after running ``code``."""
     code += (
         "\nprint(sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'amigram' or m == 'fractions'))\n"
+        f" if m.split('.')[0] == 'amigram' or m in {LAZY!r}))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code],
@@ -123,3 +126,29 @@ def test_fractions_loads_on_the_first_rational_height():
         "assert Parallelogram.from_base_height_side(4, Fraction(3, 2), 5).area == 6\n"
     )
     assert loaded_after(code) == {"amigram", "amigram.core", "fractions"}
+
+
+def test_a_value_type_in_use_loads_no_dataclasses():
+    code = (
+        "import pickle\n"
+        "from amigram import Parallelogram\n"
+        "shape = Parallelogram(7, 6, 42)\n"
+        "assert shape == Parallelogram(7, 6, 42) and shape != Parallelogram(7, 6, 41)\n"
+        "assert hash(shape) == hash((7, 6, 42))\n"
+        "assert repr(shape) == 'Parallelogram(base=7, side=6, area=42)'\n"
+        "assert pickle.loads(pickle.dumps(shape)) == shape\n"
+    )
+    assert loaded_after(code) == {"amigram", "amigram.core"}
+
+
+def test_the_dataclass_api_works_from_a_cold_start():
+    code = (
+        "import dataclasses\n"
+        "import amigram\n"
+        "fields = dataclasses.fields(amigram.Parallelogram)\n"
+        "assert [(f.name, f.type) for f in fields] == "
+        "[('base', 'int'), ('side', 'int'), ('area', 'int')]\n"
+        "assert type(vars(amigram.Parallelogram)['__dataclass_fields__']) is dict\n"
+        "assert dataclasses.fields(amigram.Parallelogram) == fields\n"
+    )
+    assert loaded_after(code) == {"amigram", "amigram.core", "dataclasses", "inspect"}

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from amigram import (
     model_vertices,
     render_svg,
 )
+from amigram.render import _caption
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,6 +93,21 @@ class TestRenderSvg:
     def test_custom_canvas_dimensions_respected(self):
         svg = render_svg(RenderSpec(Parallelogram(4, 4, 16), width=300, height=200))
         assert 'width="300" height="200" viewBox="0 0 300 200"' in svg
+
+    @pytest.mark.parametrize("limit", [4300, 640])
+    def test_caption_prints_sides_past_the_digit_limit(self, limit):
+        # No shape this large reaches a caption through render_svg, which
+        # refuses it as too large for a float first.
+        big = 10**4999
+        shape = Parallelogram(5 * big, 6 * big, 1)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            caption = _caption(shape)
+        finally:
+            sys.set_int_max_str_digits(old)
+        zeros = "0" * 4999
+        assert caption == f"base=5{zeros} side=6{zeros} area=1 perimeter=22{zeros}"
 
 
 class TestRenderSpecChecks:
