@@ -35,9 +35,9 @@ which checks it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import count
 from math import isqrt
-from typing import Iterator
 
 from .amicability import is_amicable, is_self_amicable, least_amicable_area
 from .core import (

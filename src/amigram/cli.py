@@ -41,9 +41,9 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Generator, Iterable, Sequence
 from contextlib import nullcontext
 from itertools import chain
-from typing import Generator, Iterable, Sequence, TextIO
 
 from .amicability import (
     classify,
@@ -56,6 +56,9 @@ from .core import (
     decimal_to_int,
     perimeters_up_to,
 )
+
+# Annotations stay text (from __future__ import annotations), and this
+# module imports no typing: TextIO below names typing.TextIO.
 
 # census, families and render are imported inside the handlers that use
 # them, so a subcommand loads only the modules it runs.

@@ -14,9 +14,10 @@ All arithmetic in this module is exact: Python integers and
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, NamedTuple
 
+TYPE_CHECKING = False  # typing's flag, which type checkers read as True
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -121,14 +122,14 @@ def value_repr(value: object) -> str:
 
 
 def fields_repr(self) -> str:
-    """The generated ``__repr__`` of a dataclass or a ``NamedTuple``, past
-    the int/str digit limit too.
+    """The generated ``__repr__`` of a dataclass or a named tuple, past the
+    int/str digit limit too.
 
     The generated repr's ``!r`` fails on an int of more digits than the
     limit; this one prints each field through :func:`value_repr`.  The
     field names are the class's ``__match_args__``, which a value type and
-    a ``NamedTuple`` both have.  :func:`value_type` sets it on every value
-    type; a ``NamedTuple`` assigns it as ``__repr__`` in its class body.
+    a named tuple both have.  :func:`value_type` sets it on every value
+    type; ``CanonicalKey`` assigns it as ``__repr__`` in its class body.
     """
     values = ", ".join(
         f"{name}={value_repr(getattr(self, name))}" for name in self.__match_args__
@@ -136,53 +137,19 @@ def fields_repr(self) -> str:
     return f"{type(self).__qualname__}({values})"
 
 
-def slot_setters(cls: type) -> tuple:
-    """The ``__set__`` of each field's slot descriptor, in field order.
-
-    For the constructors :func:`value_type` writes, for the one written out
-    by hand, ``Parallelogram``'s, and for :func:`prechecked`:
-    ``setter(self, value)`` stores a validated field past the frozen
-    ``__setattr__``, as ``object.__setattr__`` would, without looking the
-    descriptor up by name on each call.
-    """
-    return tuple(cls.__dict__[name].__set__ for name in cls.__match_args__)
-
-
 def prechecked(cls: type):
-    """A builder of ``cls`` from fields already known valid, past its checks.
+    """A builder of value type ``cls`` from fields already known valid, past
+    its checks.
 
     ``build(*fields)``, the fields positionally in field order, makes the
-    instance with ``object.__new__`` and stores each field through
-    :func:`slot_setters`, running none of the constructor's checks.  Only a
-    route whose fields are valid by construction may use it; every value
-    built from a caller's input goes through the constructor.  The builder
-    is written out per field count, as a loop over the setters costs more
-    than the checks it skips.
+    instance with ``object.__new__`` and stores each field through its slot
+    setter, running none of the constructor's checks.  :func:`value_type`
+    writes it for every value type, for any number of fields, in the one
+    source it compiles per class, so it is a global of the class's
+    ``__eq__``.  Only a route whose fields are valid by construction may use
+    it; every value built from a caller's input goes through the constructor.
     """
-    new = object.__new__
-    setters = slot_setters(cls)
-    if len(setters) == 3:
-        set_0, set_1, set_2 = setters
-
-        def build(field_0, field_1, field_2):
-            self = new(cls)
-            set_0(self, field_0)
-            set_1(self, field_1)
-            set_2(self, field_2)
-            return self
-
-    elif len(setters) == 2:
-        set_0, set_1 = setters
-
-        def build(field_0, field_1):
-            self = new(cls)
-            set_0(self, field_0)
-            set_1(self, field_1)
-            return self
-
-    else:
-        raise TypeError(f"no prechecked builder for {len(setters)} fields")
-    return build
+    return cls.__eq__.__globals__["build"]
 
 
 # dataclasses, with the inspect it loads, is about a third of the CLI's
@@ -255,9 +222,11 @@ def value_type(cls: type) -> type:
     attribute of a field's name is its default.  The class is built again
     with ``__slots__`` and ``__match_args__`` of the field names and these:
     - ``__init__``, taking the fields with their annotations and defaults,
-      storing each through :func:`slot_setters` and then calling
-      ``__post_init__`` if the class has one; a class-body ``__init__`` is
-      kept instead;
+      storing each through its slot descriptor's ``__set__`` (past the
+      frozen ``__setattr__``) and then calling ``__post_init__`` if the
+      class has one; a class-body ``__init__`` is kept instead;
+    - beside it, the builder :func:`prechecked` returns: the same stores
+      after ``object.__new__``, with no check, for any number of fields;
     - ``__eq__`` and ``__hash__`` over the field tuple, written out per
       class as a dataclass's are;
     - :func:`fields_repr` as the repr, and two refusals as ``__setattr__``
@@ -273,8 +242,9 @@ def value_type(cls: type) -> type:
 
     A value type checks its fields in ``__post_init__``.  Only a type
     whose checks are on a measured hot path writes its own ``__init__``,
-    checking before it stores through :func:`slot_setters`; a route whose
-    fields are valid by construction builds through :func:`prechecked`.
+    checking before it stores through the slot setters it binds itself; a
+    route whose fields are valid by construction builds through
+    :func:`prechecked`.
     """
     annotations = cls.__annotations__
     names = tuple(annotations)
@@ -307,6 +277,7 @@ def value_type(cls: type) -> type:
     def fields_of(owner: str) -> str:
         return "".join(f"{owner}.{name}," for name in names)
 
+    stores = [f"    _set_{name}(self, {name})" for name in names]
     source = [
         "def __eq__(self, other):",
         "    if other.__class__ is self.__class__:",
@@ -314,16 +285,20 @@ def value_type(cls: type) -> type:
         "    return NotImplemented",
         "def __hash__(self):",
         f"    return hash(({fields_of('self')}))",
+        f"def build({', '.join(names)}):",
+        "    self = _new(_cls)",
+        *stores,
+        "    return self",
     ]
     if "__init__" not in body:
         params = ", ".join(f"{name}=_default_{name}" if name in defaults else name for name in names)
         source.append(f"def __init__(self, {params}):")
-        source += [f"    _set_{name}(self, {name})" for name in names]
+        source += stores
         if hasattr(cls, "__post_init__"):
             source.append("    self.__post_init__()")
-    # The methods' globals: the defaults, and the slot setters, which are
-    # set once the class exists.
-    scope = {"__name__": cls.__module__}
+    # The methods' globals: object.__new__ and the defaults, then the class
+    # and its slot setters, which are set once the class exists.
+    scope = {"__name__": cls.__module__, "_new": object.__new__}
     scope.update((f"_default_{name}", value) for name, value in defaults.items())
     exec("\n".join(source), scope)
     for method in ("__eq__", "__hash__", "__init__"):
@@ -333,14 +308,12 @@ def value_type(cls: type) -> type:
     if "__init__" in scope:
         scope["__init__"].__annotations__ = {**annotations, "return": None}
     value = type(cls)(cls.__name__, cls.__bases__, namespace)
-    scope.update(zip([f"_set_{name}" for name in names], slot_setters(value)))
+    scope["_cls"] = value
+    scope.update((f"_set_{name}", vars(value)[name].__set__) for name in names)
     return value
 
 
-class _KeyFields(NamedTuple):
-    short_side: int
-    long_side: int
-    area: int
+_KeyFields = namedtuple("_KeyFields", ["short_side", "long_side", "area"])
 
 
 class CanonicalKey(_KeyFields):
@@ -348,12 +321,12 @@ class CanonicalKey(_KeyFields):
 
     Which of the two sides is called the base is a presentation choice, as
     is the shear direction, so shapes are identified by the unordered side
-    pair plus the area.  A ``NamedTuple`` whose constructor, ``_make`` and
+    pair plus the area.  A named tuple whose constructor, ``_make`` and
     ``_replace`` refuse a field that is not a plain int.
     """
 
-    # A NamedTuple body may not define __new__ or _make, so they are
-    # written on this subclass of one.
+    # The __new__ and _make that namedtuple writes check nothing, so the
+    # checked ones are written on this subclass of its class.
     __slots__ = ()
 
     def __new__(cls, short_side: int, long_side: int, area: int) -> CanonicalKey:
@@ -562,7 +535,9 @@ class Parallelogram:
         return shape
 
 
-_set_base, _set_side, _set_area = slot_setters(Parallelogram)
+_set_base = Parallelogram.base.__set__
+_set_side = Parallelogram.side.__set__
+_set_area = Parallelogram.area.__set__
 _new_tuple = tuple.__new__
 
 

@@ -6,12 +6,18 @@ so a single request does not pay to import census, families and render,
 and no subcommand loads ``fractions``, which only a shape's ``height`` and
 ``from_base_height_side`` need.  Nor does any subcommand, or a value type
 that is built, compared, hashed, printed and pickled, load ``dataclasses``
-or ``inspect``: a value type's dataclass API imports them on first use.
-The lazy names behave as the eager imports did.
+or ``inspect``: a value type's dataclass API imports them on first use.  No
+module imports ``typing``, so no subcommand loads it either.  The lazy
+names behave as the eager imports did.
+
+Each check runs in a fresh interpreter started with ``-S``: a ``.pth`` file
+in site-packages may import ``typing`` or more at every start, and the
+check is of what amigram loads.
 """
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 
@@ -20,18 +26,20 @@ import pytest
 import amigram
 
 BASE = {"amigram", "amigram.amicability", "amigram.cli", "amigram.core"}
-LAZY = ("fractions", "dataclasses", "inspect")
+LAZY = ("fractions", "dataclasses", "inspect", "typing")
+# Without site, the child finds amigram only on a path it is given.
+SOURCE_ROOT = os.path.dirname(os.path.dirname(amigram.__file__))
 
 
 def loaded_after(code):
     """The amigram modules, and those of ``LAZY`` that are loaded, that a
-    fresh interpreter holds after running ``code``."""
+    fresh interpreter without ``site`` holds after running ``code``."""
     code += (
         "\nprint(sorted(m for m in sys.modules"
         f" if m.split('.')[0] == 'amigram' or m in {LAZY!r}))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + code],
+        [sys.executable, "-S", "-c", f"import sys\nsys.path.insert(0, {SOURCE_ROOT!r})\n" + code],
         capture_output=True, text=True, check=True,
     )
     return set(ast.literal_eval(result.stdout))

@@ -1,11 +1,15 @@
 """Values built past their constructors' checks equal the checked ones.
 
-``core.prechecked`` builds a value type from fields already known valid,
-without running its constructor.  Four routes use it: the shapes of
-``enumerate_by_perimeter``, the OK verdicts of ``classify``, the entries of
-``family_pair`` and the rows of ``verify_family``.  Each value they give must equal the value the checked
+``core.prechecked(cls)`` returns the builder that ``core.value_type`` writes
+beside each value type's constructor, for any number of fields: it builds
+the value from fields already known valid, without running the
+constructor.  Four routes use it: the shapes of ``enumerate_by_perimeter``,
+the OK verdicts of ``classify``, the entries of ``family_pair`` and the rows
+of ``verify_family``.  Each value they give must equal the value the checked
 constructor builds from the same fields, be of exactly its class, and
 survive ``dataclasses.replace``, which runs the checked constructor again.
+Every exported value type has a builder, whatever its field count, and it
+stores each field object as given.
 """
 
 import dataclasses
@@ -13,19 +17,23 @@ from itertools import islice
 
 import pytest
 
+import amigram
 from amigram import (
     FamilyEntry,
     FamilyReportRow,
     Parallelogram,
-    PerimeterCounts,
     Reason,
+    RenderSpec,
     Verdict,
+    amicable_rectangle_pairs,
+    census_row,
     classify,
     companion_from_invariants,
     enumerate_by_perimeter,
     family_pair,
     verify_family,
 )
+from amigram.census import perimeter_counts
 from amigram.core import prechecked
 
 PERIMETERS = range(4, 81, 2)
@@ -98,16 +106,38 @@ def test_family_rows_equal_the_checked_ones():
         assert all(type(ok) is bool for ok in row.results)
 
 
-def test_builders_store_the_fields_in_order():
-    shape = prechecked(Parallelogram)(7, 6, 42)
-    assert_checked(shape, Parallelogram(7, 6, 42))
-    entry = FamilyEntry(4, shape, Parallelogram(8, 13, 26))
-    results = (True, False, True, True, False)
-    row = prechecked(FamilyReportRow)(entry, results)
-    assert row.entry is entry and row.results is results
-    assert_checked(row, FamilyReportRow(entry, results))
+BIG = 7 * 10**5000
+BIG_SHAPE = Parallelogram(BIG, BIG + 1, BIG)
+
+# One value of each exported value type, as the library builds it: two,
+# three, four and five fields, some past the int/str digit limit.
+SAMPLES = [
+    BIG_SHAPE,
+    classify(Parallelogram(7, 6, 42)),
+    census_row(BIG_SHAPE),
+    perimeter_counts(26),
+    amicable_rectangle_pairs()[0],
+    family_pair(11000),
+    verify_family(4, 4)[0],
+    RenderSpec(BIG_SHAPE, True, 100, 80, 5),
+]
 
 
-def test_a_field_count_with_no_builder_is_refused():
-    with pytest.raises(TypeError, match="^no prechecked builder for 4 fields$"):
-        prechecked(PerimeterCounts)
+def test_the_samples_cover_every_exported_value_type():
+    exported = [getattr(amigram, name) for name in amigram.__all__]
+    exported = [cls for cls in exported if isinstance(cls, type) and dataclasses.is_dataclass(cls)]
+    sampled = [type(value) for value in SAMPLES]
+    assert sorted(exported, key=repr) == sorted(sampled, key=repr)
+    assert len(sampled) == 8
+    assert {len(dataclasses.fields(cls)) for cls in sampled} == {2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda value: type(value).__name__)
+def test_every_value_type_has_a_builder(sample):
+    cls = type(sample)
+    names = [field.name for field in dataclasses.fields(cls)]
+    fields = [getattr(sample, name) for name in names]
+    value = prechecked(cls)(*fields)
+    assert_checked(value, cls(*fields))
+    for name, field in zip(names, fields):
+        assert getattr(value, name) is field

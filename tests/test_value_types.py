@@ -1,4 +1,4 @@
-"""The two value types built once per shape keep their contract.
+"""Every value type keeps its contract; shapes and verdicts come first.
 
 ``Parallelogram`` stores its fields through slot descriptors in a
 written-out constructor, and ``Verdict`` checks in ``__post_init__``.
@@ -6,12 +6,12 @@ They must still behave exactly like frozen dataclasses: assignment
 refused, no instance ``__dict__``, and equality, hashing, repr, tuples,
 pickling and copying as a plain ``@dataclass(frozen=True)`` with the same
 fields gives.  Every rejection keeps its exception class and its message
-text.  These two and the census rows and tallies, all slots dataclasses,
-refuse any attribute with ``FrozenInstanceError``, field or not.  Census
-rows refuse a flag that is not a bool, as a verdict does, and family report
-rows refuse results that are not a tuple of five bools.
-Family entries and report rows are slots dataclasses as well, and a row's
-checks are a new dict on each read.  A shape, a verdict's refusal, a census row
+text.  These two and every other value type, all slots classes that
+``core.value_type`` builds, refuse any attribute with
+``FrozenInstanceError``, field or not.  Census rows refuse sides or an area
+that are not ints or name no canonical shape, a verdict refuses a flag that
+is not a bool, and family report rows refuse results that are not a tuple
+of five bools.  A family report row's checks are a new dict on each read.  A shape, a verdict's refusal, a census row
 and tally, a render spec, a canonical key, a rectangle pair and a family
 entry print, and a JSON field is refused with its name, past CPython's
 int/str digit limit too.  A verdict, a rectangle pair and a family entry
